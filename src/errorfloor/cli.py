@@ -172,6 +172,13 @@ def _read_config(path: str) -> dict:
     return kv
 
 
+def _coerce(conv, value: str, where: str):
+    try:
+        return conv(value)
+    except (ValueError, OverflowError) as e:  # int(float("inf")) overflows
+        raise ConfigError(f"bad value for {where}: {e}") from None
+
+
 def _merge(cmd: str, args: argparse.Namespace) -> dict:
     """defaults < config file < explicit flags, with type coercion."""
     spec = _SPECS[cmd]
@@ -180,14 +187,11 @@ def _merge(cmd: str, args: argparse.Namespace) -> dict:
         for k, v in _read_config(args.config).items():
             if k not in spec:
                 raise ConfigError(f"unknown config key {k!r} for {cmd}")
-            cfg[k] = spec[k][0](v)
+            cfg[k] = _coerce(spec[k][0], v, f"{k!r} in {args.config}")
     for dest, (conv, _, _) in spec.items():
         v = getattr(args, dest)
         if v is not None:
-            try:
-                cfg[dest] = conv(v)
-            except ValueError as e:
-                raise ConfigError(f"bad value for --{dest.replace('_', '-')}: {e}") from None
+            cfg[dest] = _coerce(conv, v, f"--{dest.replace('_', '-')}")
     for dest in _REQUIRED[cmd]:
         if cfg[dest] is None:
             raise ConfigError(f"--{dest.replace('_', '-')} is required for {cmd}")

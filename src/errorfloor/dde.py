@@ -2,9 +2,14 @@
 
 Densities live on a uniform LLR grid (default step 50/2047, support
 +-50); the check transform applies the exact pairwise reduction as a
-density operator via a precomputed quantization table, the variable
-transform is plain convolution.  Decoder saturation is modeled by
-sweeping tail mass onto the clamp bins after each check transform.
+density operator on the quantized pair table (Chung, Forney,
+Richardson & Urbanke 2001), the variable transform is plain
+convolution.  The table entry for bins (i, j) is sign(i) sign(j)
+min(|i|, |j|) except inside a band ||i| - |j|| <= W, so the operator
+takes the min part from tail sums in O(N) and only the band, held as
+precomputed bins per grid, through a bincount.  Decoder saturation is
+modeled by sweeping tail mass onto the clamp bins after each check
+transform.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import quad
 from scipy.special import ndtr
 
@@ -23,29 +29,57 @@ DEFAULT_STEP = 50.0 / 2047.0
 DEFAULT_HALF_BINS = 2047
 
 
-def _pair_table(delta: float, half: int) -> np.ndarray:
-    """Quantized pairwise check operation: entry (i, j) is the grid index
-    of R(i*delta, j*delta).  |R| <= min(|a|, |b|) keeps it in range."""
-    x = np.arange(-half, half + 1, dtype=float) * delta
-    T = np.empty((x.size, x.size), dtype=np.int16)
-    chunk = 256
-    for lo in range(0, x.size, chunk):
-        a = x[lo : lo + chunk, None]
-        b = x[None, :]
-        base = np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
-        r = base + np.log1p(np.exp(-np.abs(a + b))) - np.log1p(np.exp(-np.abs(a - b)))
-        T[lo : lo + chunk] = np.rint(r / delta).astype(np.int16)
-    return T
+def _band_width(delta: float) -> int:
+    """Half-width W of the band ||i| - |j|| <= W that holds every pair
+    table entry differing from sign(i) sign(j) min(|i|, |j|).
+
+    Off the band the correction log1p(exp(-|a+b|)) - log1p(exp(-|a-b|))
+    lies in (-delta/2, 0), because log1p(exp(-x)) < delta/2 for
+    x > -log(expm1(delta/2)); rounding then lands on the min bin.  Two
+    extra bins absorb floating-point error in that bound."""
+    smallest_safe_gap = math.floor(-math.log(math.expm1(delta / 2.0)) / delta) + 1
+    return smallest_safe_gap + 2
 
 
-_TABLE_CACHE: dict = {}
+def _pair_bins(a: np.ndarray, b: np.ndarray, delta: float) -> np.ndarray:
+    """Grid index of the quantized pairwise check operation R(a, b)."""
+    base = np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
+    r = base + np.log1p(np.exp(-np.abs(a + b))) - np.log1p(np.exp(-np.abs(a - b)))
+    return np.rint(r / delta).astype(np.intp)
 
 
-def _table(delta: float, half: int) -> np.ndarray:
+_BAND_CACHE: dict = {}
+
+
+def _band(delta: float, half: int) -> tuple[int, np.ndarray]:
+    """Band width W and the output offsets (bin + half) of the pair
+    table on the band, laid out (p, sign class, d) for magnitude pairs
+    (p, p + d), p in 1..half, d in -W..W; sign class 0 is same-sign,
+    1 opposite-sign.  R(-a, -b) = R(a, b) and R(-a, b) = R(a, -b) hold
+    bit for bit, so (+p, +q) and (+p, -q) stand for their classes.
+    Pairs with p + d off the grid carry zero weight and point at the
+    zero bin."""
     key = (round(delta, 12), half)
-    if key not in _TABLE_CACHE:
-        _TABLE_CACHE[key] = _pair_table(delta, half)
-    return _TABLE_CACHE[key]
+    if key not in _BAND_CACHE:
+        w = min(_band_width(delta), half - 1)
+        mag = np.arange(1, half + 1)
+        q = mag[:, None] + np.arange(-w, w + 1)[None, :]
+        a = mag[:, None].astype(float) * delta
+        b = q.astype(float) * delta
+        idx = np.stack([_pair_bins(a, b, delta), _pair_bins(a, -b, delta)], axis=1)
+        on_grid = ((q >= 1) & (q <= half))[:, None, :]
+        _BAND_CACHE[key] = (w, np.where(on_grid, idx, 0).ravel() + half)
+    return _BAND_CACHE[key]
+
+
+def _tail_beyond(v: np.ndarray, w: int) -> np.ndarray:
+    """Row k - 1 of v holds mass at magnitude k; row k - 1 of the
+    result holds v's mass at magnitudes > k + w (column by column)."""
+    tail = np.zeros_like(v)
+    n = len(v) - w - 1
+    if n > 0:
+        tail[:n] = np.cumsum(v[::-1], axis=0)[::-1][w + 1 :]  # small tail terms summed first
+    return tail
 
 
 @dataclass
@@ -58,6 +92,8 @@ class Pmf:
 
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=float)
+        if self.half < 1:
+            raise ValueError("grid needs half >= 1")
         if self.probs.size != 2 * self.half + 1:
             raise ValueError("pmf length must be 2*half+1")
 
@@ -113,19 +149,32 @@ class Pmf:
         return Pmf(p, self.delta, self.half)
 
     def check_pair(self, other: "Pmf") -> "Pmf":
-        """Density of R(X, Y) for independent X ~ self, Y ~ other."""
+        """Density of R(X, Y) for independent X ~ self, Y ~ other.
+
+        Exact for the quantized pair table: pairs whose magnitudes are
+        more than W bins apart land on sign * min, gathered in O(N) from
+        tail sums; the band of the remaining pairs goes through one
+        bincount over precomputed bins.  A zero input maps to bin 0."""
         if (self.delta, self.half) != (other.delta, other.half):
             raise ValueError("incompatible grids")
-        T = _table(self.delta, self.half)
-        size = 2 * self.half + 1
-        out = np.zeros(size)
-        chunk = 512
-        for lo in range(0, size, chunk):
-            hi = min(lo + chunk, size)
-            w = self.probs[lo:hi, None] * other.probs[None, :]
-            out += np.bincount(
-                (T[lo:hi].astype(np.int64) + self.half).ravel(), weights=w.ravel(), minlength=size
-            )
+        h = self.half
+        w, bins = _band(self.delta, h)
+        x, y = self.probs, other.probs
+        # row k - 1: (mass at +k, mass at -k)
+        xs = np.stack([x[h + 1 :], x[:h][::-1]], axis=1)
+        ys = np.stack([y[h + 1 :], y[:h][::-1]], axis=1)
+
+        # band: row k - 1 of y_win holds y at magnitudes k - w .. k + w;
+        # same-sign weight x+ y+ + x- y-, opposite-sign x- y+ + x+ y-
+        y_win = sliding_window_view(np.pad(ys, ((w, w), (0, 0))), 2 * w + 1, axis=0)
+        pairing = np.stack([xs, xs[:, ::-1]], axis=1)
+        out = np.bincount(bins, weights=(pairing @ y_win).ravel(), minlength=2 * h + 1)
+
+        # off the band: the smaller magnitude k is the output magnitude
+        tx, ty = _tail_beyond(xs, w), _tail_beyond(ys, w)
+        out[h + 1 :] += (xs * ty).sum(axis=1) + (ys * tx).sum(axis=1)
+        out[:h][::-1] += (xs * ty[:, ::-1]).sum(axis=1) + (ys * tx[:, ::-1]).sum(axis=1)
+        out[h] += x[h] * y.sum() + y[h] * xs.sum()
         return Pmf(out, self.delta, self.half)
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .channel import ChannelConfig, frame_rng
-from .dde import dde_run
+from .dde import DEFAULT_HALF_BINS, DEFAULT_STEP, dde_run
 from .decoder import DecoderConfig, run_capture
 from .statespace import (
     InputStats,
@@ -33,6 +33,7 @@ from .statespace import (
 from .tanner import ParityCheckMatrix, classify, induce, load_alist, load_trapping_sets
 
 CACHE_ENV = "ERRORFLOOR_CACHE_DIR"
+CACHE_SCHEMA = "v2"  # bump when the key or the stats files change
 
 
 @dataclass(frozen=True)
@@ -136,17 +137,19 @@ def stats_from_capture(
     )
 
 
-def _cache_path(cache_dir, job: PredictionJob, cfg: ChannelConfig) -> Path:
+def _cache_path(cache_dir, job: PredictionJob, cfg: ChannelConfig, d_v: int) -> Path:
+    spa = job.source == "spa"
     key = "|".join(
         [
-            job.code_id if job.source == "spa" else "ensemble",
+            CACHE_SCHEMA,
+            job.code_id if spa else f"ensemble({d_v},{_check_degree(job.H)})",
             job.source,
             f"{cfg.ebn0_db:.6f}",
             f"{cfg.rate:.10g}",
             "none" if job.saturation is None else f"{job.saturation:.6g}",
             f"h{job.horizon}",
-            job.mode if job.source == "spa" else "-",
-            f"f{job.capture_frames}s{job.capture_seed}" if job.source == "spa" else "-",
+            job.mode if spa else f"grid{DEFAULT_STEP!r}x{DEFAULT_HALF_BINS}",
+            f"f{job.capture_frames}s{job.capture_seed}" if spa else "-",
         ]
     )
     name = hashlib.sha1(key.encode()).hexdigest()[:24] + ".csv"
@@ -156,7 +159,7 @@ def _cache_path(cache_dir, job: PredictionJob, cfg: ChannelConfig) -> Path:
 def _stats_for(job: PredictionJob, cfg: ChannelConfig, d_v: int, cache_dir) -> InputStats:
     path = None
     if cache_dir:
-        path = _cache_path(cache_dir, job, cfg)
+        path = _cache_path(cache_dir, job, cfg, d_v)
         if path.exists():
             return InputStats.from_csv(path)
     if job.source == "dde":

@@ -24,12 +24,14 @@ def _as_square(M) -> np.ndarray:
 
 def _bool_power_positive(B: np.ndarray, p: int) -> bool:
     """True when B**p (boolean arithmetic) has no zero entry."""
-    result = np.eye(len(B), dtype=bool)
-    base = B.copy()
+    # operands are 0/1, so a product entry counts at most m paths: exact
+    # in float64, where a narrow integer type would wrap to zero
+    result = np.eye(len(B))
+    base = B.astype(float)
     while p:
         if p & 1:
-            result = (result.astype(np.uint8) @ base.astype(np.uint8)) > 0
-        base = (base.astype(np.uint8) @ base.astype(np.uint8)) > 0
+            result = ((result @ base) > 0).astype(float)
+        base = ((base @ base) > 0).astype(float)
         p >>= 1
     return bool(result.all())
 
@@ -140,7 +142,8 @@ def _period(B: np.ndarray, nodes: list[int]) -> int:
 
 def _power_iteration(M: np.ndarray, tol: float = 1e-13, max_iter: int = 500_000):
     """Left power iteration on M + I (shift keeps imprimitive cases
-    convergent); returns (radius of M, L1-normalized left vector)."""
+    convergent); returns (radius of M, L1-normalized left vector).
+    Raises RuntimeError when max_iter steps do not converge."""
     m = len(M)
     B = M + np.eye(m)
     w = np.full(m, 1.0 / m)
@@ -154,7 +157,7 @@ def _power_iteration(M: np.ndarray, tol: float = 1e-13, max_iter: int = 500_000)
         if abs(s - lam) < tol * max(1.0, abs(s)) and np.abs(nxt - w).sum() < tol:
             return float(s - 1.0), nxt
         lam, w = s, nxt
-    return float(lam - 1.0), w
+    raise RuntimeError(f"power iteration did not converge in {max_iter} steps")
 
 
 @dataclass

@@ -119,6 +119,17 @@ def test_config_errors_exit_2(tmp_path, alist, capsys):
     assert main(["richardson", "--alist", alist, "--set", "sets.txt", "--ebn0", "2"]) == 2
 
 
+def test_bad_config_file_values_exit_2(tmp_path, capsys):
+    # regression: values read from --config were coerced outside the
+    # ConfigError guard, so they exited 3 where the same flag exits 2
+    (tmp_path / "bad.cfg").write_text("ebn0 = abc\n")
+    assert main(["dde", "--config", "bad.cfg"]) == 2
+    assert "ebn0" in capsys.readouterr().err
+    (tmp_path / "inf.cfg").write_text("ebn0 = 2.0\niters = inf\n")
+    assert main(["dde", "--config", "inf.cfg"]) == 2
+    assert main(["dde", "--ebn0", "2.0", "--iters", "inf"]) == 2
+
+
 def test_runtime_errors_exit_3(tmp_path, alist, capsys):
     # spa capture keeps iterating past convergence, so an unsaturated
     # exact-tanh run walks into the rounding range and trips the guard

@@ -1,5 +1,6 @@
 """Quantized density evolution: grid ops, conservation, thresholds."""
 
+import functools
 import math
 import warnings
 
@@ -12,6 +13,7 @@ from errorfloor.dde import (
     DEFAULT_HALF_BINS,
     DEFAULT_STEP,
     Pmf,
+    _band_width,
     channel_pmf,
     check_transform,
     dde_run,
@@ -49,6 +51,8 @@ def test_channel_pmf_moments():
 def test_pmf_length_checked():
     with pytest.raises(ValueError):
         Pmf(np.ones(10), DEFAULT_STEP, DEFAULT_HALF_BINS)
+    with pytest.raises(ValueError, match="half"):
+        Pmf(np.ones(1), 1.0, 0)
 
 
 def test_normalized_restores_unit_mass():
@@ -106,6 +110,85 @@ def test_check_pair_against_monte_carlo():
     ref = np.array([check_update_pairwise([x, y]) for x, y in zip(xs[:50_000], ys[:50_000])])
     assert out.mean() == pytest.approx(ref.mean(), abs=4 * ref.std() / math.sqrt(ref.size))
     assert out.variance() == pytest.approx(ref.var(), rel=0.05)
+
+
+@functools.lru_cache(maxsize=None)
+def full_pair_table(delta, half):
+    """The whole quantized pair table: entry (i, j) is the grid index of
+    R(i*delta, j*delta).  Oracle for the banded operator."""
+    x = np.arange(-half, half + 1, dtype=float) * delta
+    T = np.empty((x.size, x.size), dtype=np.int16)
+    chunk = 256
+    for lo in range(0, x.size, chunk):
+        a = x[lo : lo + chunk, None]
+        b = x[None, :]
+        base = np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
+        r = base + np.log1p(np.exp(-np.abs(a + b))) - np.log1p(np.exp(-np.abs(a - b)))
+        T[lo : lo + chunk] = np.rint(r / delta).astype(np.int16)
+    return T
+
+
+def dense_check_pair(x, y, delta, half):
+    """Weighted bincount over every table entry."""
+    T = full_pair_table(delta, half)
+    size = 2 * half + 1
+    out = np.zeros(size)
+    chunk = 512
+    for lo in range(0, size, chunk):
+        hi = min(lo + chunk, size)
+        w = x[lo:hi, None] * y[None, :]
+        out += np.bincount((T[lo:hi].astype(np.int64) + half).ravel(), weights=w.ravel(), minlength=size)
+    return out
+
+
+def oracle_inputs(half, seed):
+    rng = np.random.default_rng(seed)
+    size = 2 * half + 1
+
+    def sparse_random():
+        p = rng.random(size) * rng.random(size) ** 3  # asymmetric, uneven
+        p[rng.random(size) < 0.3] = 0.0
+        return p / p.sum()
+
+    def point(k):
+        p = np.zeros(size)
+        p[half + k] = 1.0
+        return p
+
+    r1, r2 = sparse_random(), sparse_random()
+    pos, neg = r1.copy(), r2.copy()
+    pos[: half + 1] = 0.0  # all mass on +
+    neg[half:] = 0.0  # all mass on -
+    cases = [(r1, r2), (r2, r1), (pos, neg), (neg, neg), (pos, r2)]
+    for k in (0, 1, -1, half, -half):
+        cases += [(point(k), r1), (r2, point(k)), (point(k), point(-k)), (point(k), point(1))]
+    return cases
+
+
+GRIDS = [(DEFAULT_STEP, DEFAULT_HALF_BINS), (0.25, 120), (1.0, 40), (2.0, 12), (0.5, 3)]
+
+
+@pytest.mark.parametrize("delta, half", GRIDS)
+def test_check_pair_matches_full_table_oracle(delta, half):
+    worst = 0.0
+    for x, y in oracle_inputs(half, seed=half):
+        got = Pmf(x, delta, half).check_pair(Pmf(y, delta, half)).probs
+        worst = max(worst, np.abs(got - dense_check_pair(x, y, delta, half)).max())
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("delta, half", GRIDS[:2])
+def test_pair_table_is_signed_min_off_the_band(delta, half):
+    T = full_pair_table(delta, half)
+    i = np.arange(-half, half + 1, dtype=np.int16)
+    mag = np.abs(i)
+    signed_min = np.sign(i)[:, None] * np.sign(i)[None, :] * np.minimum.outer(mag, mag)
+    gap = np.abs(np.subtract.outer(mag, mag))
+    off_band = gap > _band_width(delta)
+    assert np.array_equal(T[off_band], signed_min[off_band])
+    # the band is no wider than the bound plus its margin needs
+    widest = gap[T != signed_min].max()
+    assert _band_width(delta) - 3 <= widest <= _band_width(delta)
 
 
 def test_check_transform_degree_two_is_identity_shape():

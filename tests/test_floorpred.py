@@ -8,6 +8,7 @@ import pytest
 from errorfloor.channel import ChannelConfig
 from errorfloor.floorpred import (
     PredictionJob,
+    _stats_for,
     code_digest,
     load_job,
     predict_curve,
@@ -103,6 +104,27 @@ def test_cache_env_variable(job, tmp_path, monkeypatch):
     monkeypatch.setenv("ERRORFLOOR_CACHE_DIR", str(cache))
     predict_curve(job)
     assert len(list(cache.rglob("*.csv"))) == len(job.snr_grid)
+
+
+@pytest.mark.parametrize("d_v, d_c", [(4, 6), (3, 8)])
+def test_dde_cache_keyed_on_degrees(code, d_v, d_c, tmp_path):
+    # regression: the dde key held no degrees, so a second job with another
+    # d_v or d_c read the first job's stats from a shared cache dir
+    cfg = ChannelConfig(2.8, 0.5)
+    other = random_regular_code(96, d_v, d_c, seed=5)
+    first, second = (
+        PredictionJob(H=H, sets=((0, 1, 2, 3),), snr_grid=(2.8,), rate=0.5, horizon=2)
+        for H in (code, other)
+    )
+    cache = tmp_path / "cache"
+    got_first = _stats_for(first, cfg, 3, cache)
+    got_second = _stats_for(second, cfg, d_v, cache)
+    assert len(list(cache.glob("*.csv"))) == 2
+    want = stats_from_dde(cfg, d_v, d_c, n_iters=2, saturation=25.0)
+    np.testing.assert_allclose(got_second.m_ex, want.m_ex, rtol=1e-12)
+    assert not np.allclose(got_second.m_ex, got_first.m_ex)
+    # a warm read returns the job's own stats
+    np.testing.assert_allclose(_stats_for(second, cfg, d_v, cache).m_ex, want.m_ex, rtol=1e-12)
 
 
 def test_report_serialization(job, tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from errorfloor.graphs import Multigraph, multigraph_to_digraph
 from errorfloor.spectral import (
+    _power_iteration,
     approx_spectral_radius,
     frobenius_bounds,
     is_irreducible,
@@ -28,6 +29,16 @@ def test_irreducibility_classics():
     assert not is_irreducible(block)
     upper = np.triu(np.ones((3, 3)), k=1)
     assert not is_irreducible(upper)
+
+
+def test_boolean_powers_do_not_wrap():
+    # regression: products ran in uint8, so an entry counting 256 paths
+    # wrapped to 0 and this all-ones matrix read as reducible
+    assert is_irreducible(np.ones((256, 256)))
+    ring = np.roll(np.eye(300), 1, axis=1)
+    ring[:, 0] = 1  # every state feeds state 0: 300 paths into it
+    assert is_irreducible(ring)
+    assert is_primitive(ring)
 
 
 def test_primitivity_classics():
@@ -100,3 +111,11 @@ def test_approx_radius_lower_bound():
         est = approx_spectral_radius(a, b, d_v)
         assert est <= r + 5e-4
         assert est == pytest.approx(d_v - 1 - b / a)
+
+
+def test_power_iteration_raises_when_not_converged():
+    M = np.array([[1.0, 2.0], [0.5, 3.0]])
+    with pytest.raises(RuntimeError, match="did not converge"):
+        _power_iteration(M, max_iter=3)
+    r, w = _power_iteration(M)
+    assert r == pytest.approx(np.abs(np.linalg.eigvals(M)).max(), rel=1e-9)
