@@ -2,7 +2,10 @@
 
 Check updates run in one of four modes: the reference tanh-product form
 (overflow-prone, kept as a reference), an exact pairwise reduction that
-cannot overflow, its two-piece linear approximation, and min-sum.
+cannot overflow, its two-piece linear approximation, and min-sum.  The
+last three share one sign/magnitude kernel: a check's sign parity is the
+XOR of its inputs' sign bits, and a forward/backward pairwise recursion
+runs on magnitudes alone.
 Saturation, when enabled, clamps check-node outputs only; variable nodes
 and channel LLRs are never clipped.
 """
@@ -10,7 +13,7 @@ and channel LLRs are never clipped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,35 +40,44 @@ def _factor_deficit(x):
     return np.where(d < _ROUND_EPS, 0.0, d)
 
 
-def _corr_exact(apb, amb):
-    with np.errstate(invalid="ignore"):
-        return np.log1p(np.exp(-apb)) - np.log1p(np.exp(-amb))
+# float64 sign bit as an int64 mask
+_SIGN = np.int64(-(2**63))
 
 
-def _corr_approx(apb, amb):
-    def piece(x):
-        return np.where(x < 2.5, 0.6 - 0.24 * x, 0.0)
+def _corr_exact(x, out):
+    """log1p(exp(-|y|)) for x = -|y|."""
+    np.exp(x, out=out)
+    return np.log1p(out, out=out)
 
-    return piece(apb) - piece(amb)
+
+def _corr_approx(x, out):
+    """Two-piece fit 0.6 - 0.24|y| (zero from |y| = 2.5 on) for x = -|y|;
+    0.6 - 0.24 * 2.5 is exactly 0, and fmax maps nan to the zero piece."""
+    np.fmax(x, -2.5, out=out)
+    out *= 0.24
+    out += 0.6
+    return out
 
 
-def _pair_reduce(a, b, corr):
-    """One step of the pairwise check reduction.
+def _boxplus(a, b, out, corr, t1, t2):
+    """Pairwise check reduction on negated magnitudes (a, b <= 0).
 
-    Exact form: sign(a)sign(b)min(|a|,|b|) + log1p(e^-|a+b|) - log1p(e^-|a-b|).
-    Infinite arguments act as neutral elements (corrections vanish).
+    Writes -(min(|a|,|b|) + L(|a|+|b|) - L(||a|-|b||)) into `out`, which
+    may alias `a`; with corr None (min-sum) only the min is kept.  +inf
+    magnitudes are neutral: both corrections vanish.
     """
-    base = np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
     if corr is None:
-        return base
-    with np.errstate(invalid="ignore"):
-        apb = np.abs(a + b)
-        amb = np.abs(a - b)
-    c = corr(apb, amb)
-    inf_mask = np.isinf(a) | np.isinf(b)
-    if inf_mask.any():
-        c = np.where(inf_mask, 0.0, c)
-    return base + c
+        return np.maximum(a, b, out=out)
+    np.minimum(a, b, out=t1)
+    np.add(a, b, out=t2)
+    np.maximum(a, b, out=out)
+    np.subtract(t1, out, out=t1)
+    if corr is _corr_exact:
+        np.fmax(t1, -np.inf, out=t1)  # inf - inf between two neutral inputs
+    corr(t2, t2)
+    corr(t1, t1)
+    np.subtract(t2, t1, out=t2)
+    return np.subtract(out, t2, out=out)
 
 
 def _sgn(x: float) -> float:
@@ -73,7 +85,7 @@ def _sgn(x: float) -> float:
 
 
 def _fold(inputs, corr):
-    """Scalar pairwise reduction matching _pair_reduce, in plain floats."""
+    """Scalar pairwise reduction, the batched kernel's recursion in plain floats."""
     acc = math.inf
     for x in inputs:
         x = float(x)
@@ -160,13 +172,19 @@ class DecoderConfig:
             raise ValueError(f"unknown mode {self.mode!r}; choose from {MODES}")
         if self.saturation is not None and self.saturation <= 0:
             raise ValueError("saturation limit must be positive")
+        if self.max_iters < 1 or self.ec_window < 1:
+            raise ValueError("max_iters and ec_window must be at least 1")
 
 
 class _Layout:
     """Padded gather/scatter index tables for one parity-check matrix.
 
-    Edges are numbered check-major; index `E` is a sentinel slot whose
-    message is pinned to +inf (the neutral element of every check op).
+    Edges are numbered check-major; index `E` (`n` for variables) is a
+    sentinel slot, read as the neutral element of the gather (+inf into
+    checks, 0 into variable sums and parities).  Gathers skip the
+    sentinel when no row is padded.  The variable-side and parity tables
+    are held degree-major ([d, n] and [d, m]): gathered that way, the sum
+    over a node's inputs adds contiguous rows.
     """
 
     def __init__(self, H: ParityCheckMatrix):
@@ -182,16 +200,18 @@ class _Layout:
         off = np.concatenate([[0], np.cumsum(dc)])
         dcmax = int(dc.max(initial=1))
         dvmax = int(dv.max(initial=1))
+        self.chk_padded = bool((dc < dcmax).any())
+        self.var_padded = bool((dv < dvmax).any())
         self.chk_eid = np.full((self.m, dcmax), self.E, dtype=np.int64)
-        self.chk_var_pad = np.full((self.m, dcmax), self.n, dtype=np.int64)
+        self.chk_var = np.full((dcmax, self.m), self.n, dtype=np.int64)
         for c in range(self.m):
             self.chk_eid[c, : dc[c]] = np.arange(off[c], off[c + 1])
-            self.chk_var_pad[c, : dc[c]] = H.chk_vars[c]
+            self.chk_var[: dc[c], c] = H.chk_vars[c]
         self.chk_valid = self.chk_eid < self.E
-        self.var_eid = np.full((self.n, dvmax), self.E, dtype=np.int64)
+        self.var_eid = np.full((dvmax, self.n), self.E, dtype=np.int64)
         fill = np.zeros(self.n, dtype=np.int64)
         for e, v in enumerate(self.edge_var):
-            self.var_eid[v, fill[v]] = e
+            self.var_eid[fill[v], v] = e
             fill[v] += 1
 
 
@@ -203,50 +223,106 @@ def _layout(H: ParityCheckMatrix) -> _Layout:
     return lay
 
 
-def _check_pass(v2c, lay: _Layout, mode: str) -> np.ndarray:
+def _gather(x, idx, fill, padded: bool):
+    """x[:, idx], where index x.shape[1] (the sentinel) reads `fill`."""
+    if padded:
+        x = np.concatenate([x, np.full((x.shape[0], 1), fill, dtype=x.dtype)], axis=1)
+    return np.take(x, idx, axis=1)
+
+
+class _Workspace:
+    """Buffers of the sign/magnitude check pass, sized for `F` frames;
+    smaller batches use a contiguous prefix of each."""
+
+    def __init__(self, lay: _Layout, F: int):
+        self.dcmax, self.m = lay.chk_eid.shape[1], lay.m
+        self.bufs = np.empty((6, self.dcmax * F * self.m))
+
+    def views(self, F: int):
+        size = self.dcmax * F * self.m
+        return [b[:size].reshape(self.dcmax, F, self.m) for b in self.bufs]
+
+
+def _tanh_pass(M):
+    """Reference tanh-product outputs for gathered inputs [F, m, dcmax]."""
+    dcmax = M.shape[2]
+    sgn = np.where(M < 0, -1.0, 1.0)  # pads -> +1
+    d = _factor_deficit(M)            # pads -> 0 (neutral factor)
+    p = 1.0 - d
+    ef = np.zeros_like(M)
+    eb = np.zeros_like(M)
+    sf = np.ones_like(M)
+    sb = np.ones_like(M)
+    pf = np.ones_like(M)
+    pb = np.ones_like(M)
+    for k in range(1, dcmax):
+        ef[:, :, k] = ef[:, :, k - 1] + d[:, :, k - 1] - ef[:, :, k - 1] * d[:, :, k - 1]
+        sf[:, :, k] = sf[:, :, k - 1] * sgn[:, :, k - 1]
+        pf[:, :, k] = pf[:, :, k - 1] * p[:, :, k - 1]
+    for k in range(dcmax - 2, -1, -1):
+        eb[:, :, k] = eb[:, :, k + 1] + d[:, :, k + 1] - eb[:, :, k + 1] * d[:, :, k + 1]
+        sb[:, :, k] = sb[:, :, k + 1] * sgn[:, :, k + 1]
+        pb[:, :, k] = pb[:, :, k + 1] * p[:, :, k + 1]
+    e = ef + eb - ef * eb
+    with np.errstate(divide="ignore"):
+        # deficit form near saturation, plain product elsewhere
+        out = np.where(
+            e < 0.5,
+            np.log((2.0 - e) / np.where(e > 0.0, e, 1.0)),
+            2.0 * np.arctanh(pf * pb),
+        )
+        return np.where(e > 0.0, out, np.inf) * sf * sb
+
+
+def _signmag_pass(M, corr, work: _Workspace):
+    """Outputs of every non-tanh mode for gathered inputs [F, m, dcmax].
+
+    An output's sign is the XOR of the other inputs' sign bits: the
+    check's parity XOR the edge's own.  Its magnitude is the forward/
+    backward pairwise recursion of `_boxplus` over negated magnitudes
+    -|x|, held position-major ([dcmax, F, m]) so every step runs on
+    contiguous rows.  Returns a [F, m, dcmax] view of a workspace buffer.
+    """
+    F, m, dc = M.shape
+    X, fwd, bwd, t1, t2, S = work.views(F)
+    S = S.view(np.int64)
+    np.copyto(X, M.transpose(2, 0, 1))
+    Xb = X.view(np.int64)
+    np.bitwise_and(Xb, _SIGN, out=S)
+    flip = np.bitwise_xor.reduce(S, axis=0)
+    flip ^= _SIGN  # the recursion yields -|out|: flip where the sign is +
+    S ^= flip
+    Xb |= _SIGN
+    with np.errstate(invalid="ignore"):
+        if dc > 1:
+            fwd[1] = X[0]
+            bwd[dc - 2] = X[dc - 1]
+        for k in range(2, dc):
+            _boxplus(fwd[k - 1], X[k - 1], fwd[k], corr, t1[0], t2[0])
+            _boxplus(bwd[dc - k], X[dc - k], bwd[dc - 1 - k], corr, t1[0], t2[0])
+        mid = slice(1, dc - 1)
+        _boxplus(fwd[mid], bwd[mid], fwd[mid], corr, t1[mid], t2[mid])
+    fwd[0] = bwd[0] if dc > 1 else -np.inf
+    fwd.view(np.int64)[...] ^= S
+    return fwd.transpose(1, 2, 0)
+
+
+def _check_pass(v2c, lay: _Layout, mode: str, work: _Workspace | None = None) -> np.ndarray:
     """All extrinsic check outputs for a batch; returns [F, E]."""
     F = v2c.shape[0]
-    ext = np.concatenate([v2c, np.full((F, 1), np.inf)], axis=1)
-    M = ext[:, lay.chk_eid]  # [F, m, dcmax]
-    dcmax = M.shape[2]
-    if mode == "exact-tanh":
-        sgn = np.where(M < 0, -1.0, 1.0)  # pads -> +1
-        d = _factor_deficit(M)            # pads -> 0 (neutral factor)
-        p = 1.0 - d
-        ef = np.zeros_like(M)
-        eb = np.zeros_like(M)
-        sf = np.ones_like(M)
-        sb = np.ones_like(M)
-        pf = np.ones_like(M)
-        pb = np.ones_like(M)
-        for k in range(1, dcmax):
-            ef[:, :, k] = ef[:, :, k - 1] + d[:, :, k - 1] - ef[:, :, k - 1] * d[:, :, k - 1]
-            sf[:, :, k] = sf[:, :, k - 1] * sgn[:, :, k - 1]
-            pf[:, :, k] = pf[:, :, k - 1] * p[:, :, k - 1]
-        for k in range(dcmax - 2, -1, -1):
-            eb[:, :, k] = eb[:, :, k + 1] + d[:, :, k + 1] - eb[:, :, k + 1] * d[:, :, k + 1]
-            sb[:, :, k] = sb[:, :, k + 1] * sgn[:, :, k + 1]
-            pb[:, :, k] = pb[:, :, k + 1] * p[:, :, k + 1]
-        e = ef + eb - ef * eb
-        with np.errstate(divide="ignore"):
-            # deficit form near saturation, plain product elsewhere
-            out = np.where(
-                e < 0.5,
-                np.log((2.0 - e) / np.where(e > 0.0, e, 1.0)),
-                2.0 * np.arctanh(pf * pb),
-            )
-            out = np.where(e > 0.0, out, np.inf) * sf * sb
+    if lay.chk_padded:
+        M = _gather(v2c, lay.chk_eid, np.inf, True)  # [F, m, dcmax]
     else:
-        corr = _CORR[mode]
-        fwd = np.full_like(M, np.inf)
-        bwd = np.full_like(M, np.inf)
-        for k in range(1, dcmax):
-            fwd[:, :, k] = _pair_reduce(fwd[:, :, k - 1], M[:, :, k - 1], corr)
-        for k in range(dcmax - 2, -1, -1):
-            bwd[:, :, k] = _pair_reduce(bwd[:, :, k + 1], M[:, :, k + 1], corr)
-        out = _pair_reduce(fwd, bwd, corr)
+        M = v2c.reshape(F, lay.m, -1)  # edges are numbered check-major
+    if mode == "exact-tanh":
+        out = _tanh_pass(M)
+    else:
+        out = _signmag_pass(M, _CORR[mode], work or _Workspace(lay, F))
     c2v = np.empty((F, lay.E))
-    c2v[:, lay.chk_eid[lay.chk_valid]] = out[:, lay.chk_valid]
+    if lay.chk_padded:
+        c2v[:, lay.chk_eid[lay.chk_valid]] = out[:, lay.chk_valid]
+    else:
+        c2v.reshape(M.shape)[...] = out
     return c2v
 
 
@@ -257,7 +333,6 @@ class IterationStats:
     var_ex: float
     g_bar: float
     p_e: float
-    correlation: float | None = None
 
 
 class CaptureAccumulator:
@@ -265,16 +340,12 @@ class CaptureAccumulator:
 
     Gain uses the messages *entering* the checks at each iteration (the
     previous iteration's variable outputs), raised to d_c - 2; the
-    mean/variance track check outputs after saturation.  Optional edge
-    subsets restrict the gain population and designate the unsatisfied
-    check outputs whose cross-frame correlation is of interest.
+    mean/variance track check outputs after saturation.
     """
 
-    def __init__(self, d_c: int, n_iters: int, gain_edges=None, corr_edges=None):
+    def __init__(self, d_c: int, n_iters: int):
         self.d_c = int(d_c)
         self.n_iters = int(n_iters)
-        self.gain_edges = gain_edges
-        self.corr_edges = corr_edges
         z = np.zeros(n_iters)
         self._tanh_sum = z.copy()
         self._tanh_n = z.copy()
@@ -283,12 +354,10 @@ class CaptureAccumulator:
         self._cv_sum = z.copy()
         self._cv_sq = z.copy()
         self._cv_n = z.copy()
-        self._corr_samples = [[] for _ in range(n_iters)]
 
     def pre_check(self, it: int, v2c: np.ndarray) -> None:
-        pop = v2c if self.gain_edges is None else v2c[:, self.gain_edges]
-        self._tanh_sum[it] += np.tanh(pop / 2.0).sum()
-        self._tanh_n[it] += pop.size
+        self._tanh_sum[it] += np.tanh(v2c / 2.0).sum()
+        self._tanh_n[it] += v2c.size
         self._neg_sum[it] += np.count_nonzero(v2c < 0)
         self._neg_n[it] += v2c.size
 
@@ -296,8 +365,6 @@ class CaptureAccumulator:
         self._cv_sum[it] += c2v.sum()
         self._cv_sq[it] += (c2v * c2v).sum()
         self._cv_n[it] += c2v.size
-        if self.corr_edges is not None and len(self.corr_edges) >= 2:
-            self._corr_samples[it].append(c2v[:, self.corr_edges].copy())
 
     def results(self) -> list[IterationStats]:
         rows = []
@@ -307,12 +374,6 @@ class CaptureAccumulator:
             tanh_mean = self._tanh_sum[it] / self._tanh_n[it]
             mean = self._cv_sum[it] / self._cv_n[it]
             var = self._cv_sq[it] / self._cv_n[it] - mean * mean
-            corr = None
-            if self._corr_samples[it]:
-                x = np.concatenate(self._corr_samples[it], axis=0)
-                cm = np.corrcoef(x, rowvar=False)
-                off = cm[~np.eye(cm.shape[0], dtype=bool)]
-                corr = float(np.mean(off))
             rows.append(
                 IterationStats(
                     iteration=it + 1,
@@ -320,7 +381,6 @@ class CaptureAccumulator:
                     var_ex=float(var),
                     g_bar=float(tanh_mean ** (self.d_c - 2)),
                     p_e=float(self._neg_sum[it] / self._neg_n[it]),
-                    correlation=corr,
                 )
             )
         return rows
@@ -341,6 +401,7 @@ class BatchResult:
     converged: np.ndarray   # [F] bool
     iterations: np.ndarray  # [F] int32
     failed: np.ndarray      # [F, n] bool, not eventually correct
+    soft: np.ndarray        # [F, n] float, soft values at exit
     state_v2c: np.ndarray | None = None
     state_idx: np.ndarray | None = None
 
@@ -379,18 +440,20 @@ def decode_batch(
     conv_out = np.zeros(F, dtype=bool)
     iters_out = np.full(F, cfg.max_iters, dtype=np.int32)
     failed_out = np.zeros((F, n), dtype=bool)
+    soft_out = np.zeros((F, n))
 
     idx = np.arange(F)
     ch = llrs
     v2c = ch[:, lay.edge_var].copy() if init_v2c is None else np.array(init_v2c, dtype=float)
     last_wrong = np.zeros((F, n), dtype=np.int32)
     first_conv = np.zeros(F, dtype=np.int32)
+    work = _Workspace(lay, F)
 
     sat = cfg.saturation
     for it in range(1, cfg.max_iters + 1):
         if capture is not None:
             capture.pre_check(it - 1, v2c)
-        c2v = _check_pass(v2c, lay, cfg.mode)
+        c2v = _check_pass(v2c, lay, cfg.mode, work)
         if cfg.mode == "exact-tanh" and not np.isfinite(c2v).all():
             raise NonFiniteMessageError(
                 f"non-finite check output at iteration {it}; inputs exceeded the tanh-product range"
@@ -400,16 +463,14 @@ def decode_batch(
         if capture is not None:
             capture.post_check(it - 1, c2v)
 
-        ext = np.concatenate([c2v, np.zeros((c2v.shape[0], 1))], axis=1)
-        soft = ch + ext[:, lay.var_eid].sum(axis=2)
-        v2c = soft[:, lay.edge_var] - c2v
+        soft = ch + _gather(c2v, lay.var_eid, 0.0, lay.var_padded).sum(axis=1)
+        v2c = np.take(soft, lay.edge_var, axis=1) - c2v
 
         hard = (soft < 0).astype(np.uint8)
         wrong = hard != ref
-        last_wrong[wrong] = it
+        np.maximum(last_wrong, np.multiply(wrong, it, dtype=np.int32), out=last_wrong)
 
-        hard_ext = np.concatenate([hard, np.zeros((hard.shape[0], 1), dtype=np.uint8)], axis=1)
-        parity = hard_ext[:, lay.chk_var_pad].sum(axis=2) & 1
+        parity = np.bitwise_xor.reduce(_gather(hard, lay.chk_var, 0, lay.chk_padded), axis=1)
         conv_now = ~parity.any(axis=1)
         np.copyto(first_conv, it, where=(first_conv == 0) & conv_now)
 
@@ -417,24 +478,27 @@ def decode_batch(
             done = np.flatnonzero(conv_now)
             gd = idx[done]
             hard_out[gd] = hard[done]
+            soft_out[gd] = soft[done]
             conv_out[gd] = True
             iters_out[gd] = it
             failed_out[gd] = wrong[done]
             keep = np.flatnonzero(~conv_now)
             if keep.size == 0:
-                return BatchResult(hard_out, conv_out, iters_out, failed_out)
+                return BatchResult(hard_out, conv_out, iters_out, failed_out, soft_out)
             idx = idx[keep]
             ch = ch[keep]
             v2c = v2c[keep]
             last_wrong = last_wrong[keep]
             first_conv = first_conv[keep]
             hard = hard[keep]
+            soft = soft[keep]
             wrong = wrong[keep]
             conv_now = conv_now[keep]
 
     # frames still in flight after the last iteration
     lo = cfg.max_iters - cfg.ec_window + 1
     hard_out[idx] = hard
+    soft_out[idx] = soft
     conv_out[idx] = conv_now if not early else False
     iters_out[idx] = np.where(first_conv > 0, first_conv, cfg.max_iters)
     failed_out[idx] = np.where(conv_now[:, None], wrong, last_wrong >= max(lo, 1)) if not early \
@@ -442,102 +506,28 @@ def decode_batch(
 
     state_v2c = v2c if return_state else None
     state_idx = idx.copy() if return_state else None
-    return BatchResult(hard_out, conv_out, iters_out, failed_out, state_v2c, state_idx)
+    return BatchResult(hard_out, conv_out, iters_out, failed_out, soft_out, state_v2c, state_idx)
 
 
 def decode(H: ParityCheckMatrix, llr, cfg: DecoderConfig, reference=None) -> DecodeResult:
     """Decode a single frame; see decode_batch for the semantics."""
-    llr = np.asarray(llr, dtype=float)
-    res = decode_batch(H, llr[None, :], cfg, reference=reference)
-    # soft values are recomputed cheaply for the single-frame API
-    soft = _soft_values(H, llr, cfg)
+    res = decode_batch(H, np.asarray(llr, dtype=float)[None, :], cfg, reference=reference)
     return DecodeResult(
         hard=res.hard[0],
         converged=bool(res.converged[0]),
         iterations=int(res.iterations[0]),
         failed_set=np.flatnonzero(res.failed[0]),
-        soft=soft,
+        soft=res.soft[0],
     )
-
-
-def _soft_values(H, llr, cfg):
-    lay = _layout(H)
-    v2c = llr[None, lay.edge_var].copy()
-    soft = llr[None, :].copy()
-    for it in range(cfg.max_iters):
-        c2v = _check_pass(v2c, lay, cfg.mode)
-        if cfg.saturation is not None:
-            np.clip(c2v, -cfg.saturation, cfg.saturation, out=c2v)
-        ext = np.concatenate([c2v, np.zeros((1, 1))], axis=1)
-        soft = llr[None, :] + ext[:, lay.var_eid].sum(axis=2)
-        v2c = soft[:, lay.edge_var] - c2v
-        hard = (soft < 0).astype(np.uint8)
-        hard_ext = np.concatenate([hard, np.zeros((1, 1), dtype=np.uint8)], axis=1)
-        if cfg.early_stop and not (hard_ext[:, lay.chk_var_pad].sum(axis=2) & 1).any():
-            break
-    return soft[0]
-
-
-def designated_gain_edges(H: ParityCheckMatrix, var_set) -> np.ndarray:
-    """Edges entering a set's degree-2 checks from outside the set."""
-    from .tanner import induce
-
-    lay = _layout(H)
-    sub = induce(H, var_set)
-    deg2 = set(int(c) for c, d in zip(sub.checks, sub.check_degrees) if d == 2)
-    members = set(map(int, sub.variables))
-    mask = np.array(
-        [int(c) in deg2 and int(v) not in members for c, v in zip(lay.edge_chk, lay.edge_var)]
-    )
-    return np.flatnonzero(mask)
-
-
-def unsatisfied_output_edges(H: ParityCheckMatrix, var_set) -> np.ndarray:
-    """Edges from a set's odd-degree checks into the set (the model's
-    external inputs)."""
-    from .tanner import induce
-
-    lay = _layout(H)
-    sub = induce(H, var_set)
-    odd = set(int(c) for c, d in zip(sub.checks, sub.check_degrees) if d % 2 == 1)
-    members = set(map(int, sub.variables))
-    mask = np.array(
-        [int(c) in odd and int(v) in members for c, v in zip(lay.edge_chk, lay.edge_var)]
-    )
-    return np.flatnonzero(mask)
 
 
 def run_capture(
-    H: ParityCheckMatrix,
-    llr_batches,
-    cfg: DecoderConfig,
-    d_c: int,
-    designated=None,
-    with_correlation: bool = False,
+    H: ParityCheckMatrix, llr_batches, cfg: DecoderConfig, d_c: int
 ) -> list[IterationStats]:
     """Feed LLR batches through the decoder collecting per-iteration
     statistics; early termination is disabled so every frame contributes
     to every iteration."""
-    gain_edges = designated_gain_edges(H, designated) if designated is not None else None
-    corr_edges = (
-        unsatisfied_output_edges(H, designated)
-        if designated is not None and with_correlation
-        else None
-    )
-    cap = CaptureAccumulator(d_c, cfg.max_iters, gain_edges, corr_edges)
+    cap = CaptureAccumulator(d_c, cfg.max_iters)
     for llrs in llr_batches:
         decode_batch(H, llrs, cfg, capture=cap)
     return cap.results()
-
-
-def capture_gain(H, llr_batches, cfg, d_c, designated=None) -> np.ndarray:
-    """Per-iteration gain estimates; see run_capture."""
-    rows = run_capture(H, llr_batches, cfg, d_c, designated=designated)
-    return np.array([r.g_bar for r in rows])
-
-
-def capture_correlation(H, llr_batches, cfg, d_c, designated) -> np.ndarray:
-    """Per-iteration mean off-diagonal correlation among the designated
-    set's unsatisfied-check outputs."""
-    rows = run_capture(H, llr_batches, cfg, d_c, designated=designated, with_correlation=True)
-    return np.array([np.nan if r.correlation is None else r.correlation for r in rows])

@@ -269,6 +269,8 @@ class SemiAnalyticConfig:
             raise ValueError("s grid must stay below zero")
         if self.mode not in ("exact-match", "saturation-phase"):
             raise ValueError(f"unknown classification mode {self.mode!r}")
+        if self.sat_iters < 1 or self.ec_window < 1:
+            raise ValueError("sat_iters and ec_window must be at least 1")
 
 
 @dataclass(frozen=True)

@@ -130,6 +130,25 @@ def test_bad_config_file_values_exit_2(tmp_path, capsys):
     assert main(["dde", "--ebn0", "2.0", "--iters", "inf"]) == 2
 
 
+def test_iteration_counts_below_one_exit_2(tmp_path, alist, capsys):
+    # --max-iters 0 used to exit 3 (UnboundLocalError); --ec-window 0 ran
+    # and reported no frame errors, since non-converged frames got empty
+    # failed sets
+    for flags in (["--max-iters", "0"], ["--ec-window", "0"]):
+        rc = main(["simulate", "--alist", alist, "--ebn0", "1.5", "--frames", "16",
+                   *flags, "--out", "s"])
+        assert rc == 2
+        assert "at least 1" in capsys.readouterr().err
+    (tmp_path / "sets.txt").write_text("0 1 2 3\n")
+    base = ["richardson", "--alist", alist, "--set", "sets.txt", "--ebn0", "2.4",
+            "--s-points", "1", "--s-lo", "-1.5", "--s-hi", "-1.0",
+            "--frames-per-point", "16", "--refine", "0", "--out", "r"]
+    for flags in (["--max-iters", "0"], ["--ec-window", "0"],
+                  ["--mode", "saturation-phase", "--sat-iters", "0"]):
+        assert main(base + flags) == 2
+        assert "at least 1" in capsys.readouterr().err
+
+
 def test_runtime_errors_exit_3(tmp_path, alist, capsys):
     # spa capture keeps iterating past convergence, so an unsaturated
     # exact-tanh run walks into the rounding range and trips the guard

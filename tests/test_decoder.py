@@ -10,6 +10,8 @@ from errorfloor.channel import ChannelConfig, frame_rng, llr_from_symbol, sample
 from errorfloor.decoder import (
     DecoderConfig,
     NonFiniteMessageError,
+    _check_pass,
+    _layout,
     check_update_approx,
     check_update_exact,
     check_update_minsum,
@@ -18,7 +20,7 @@ from errorfloor.decoder import (
     decode_batch,
     run_capture,
 )
-from errorfloor.tanner import random_regular_code
+from errorfloor.tanner import ParityCheckMatrix, random_regular_code
 
 finite_llrs = st.lists(
     st.floats(-30, 30).filter(lambda x: abs(x) > 1e-3), min_size=2, max_size=8
@@ -85,6 +87,15 @@ def test_decoder_config_validation():
         DecoderConfig(mode="bogus")
     with pytest.raises(ValueError):
         DecoderConfig(saturation=-1.0)
+
+
+@pytest.mark.parametrize("kw", [{"max_iters": 0}, {"max_iters": -3}, {"ec_window": 0}])
+def test_decoder_config_rejects_empty_iteration_counts(kw):
+    # max_iters = 0 used to end in UnboundLocalError; ec_window = 0 gave
+    # non-converged frames empty failed sets, so they counted as successes
+    with pytest.raises(ValueError, match="at least 1"):
+        DecoderConfig(**kw)
+    assert DecoderConfig(max_iters=1, ec_window=1).max_iters == 1
 
 
 @pytest.fixture(scope="module")
@@ -194,3 +205,134 @@ def test_run_capture_lengths(code):
         assert r.var_ex >= 0.0
     # means grow as decoding cleans up the frames
     assert rows[-1].m_ex > rows[0].m_ex
+
+
+# --- the former signed fwd/bwd check pass, kept as the kernel's oracle ---
+
+def _oracle_corr_exact(apb, amb):
+    with np.errstate(invalid="ignore"):
+        return np.log1p(np.exp(-apb)) - np.log1p(np.exp(-amb))
+
+
+def _oracle_corr_approx(apb, amb):
+    def piece(x):
+        return np.where(x < 2.5, 0.6 - 0.24 * x, 0.0)
+
+    return piece(apb) - piece(amb)
+
+
+_ORACLE_CORR = {"pairwise": _oracle_corr_exact, "approx": _oracle_corr_approx, "min-sum": None}
+
+
+def _oracle_pair_reduce(a, b, corr):
+    """sign(a)sign(b)min(|a|,|b|) + corr(|a+b|, |a-b|); infinite
+    arguments act as neutral elements (corrections vanish)."""
+    base = np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
+    if corr is None:
+        return base
+    with np.errstate(invalid="ignore"):
+        apb = np.abs(a + b)
+        amb = np.abs(a - b)
+    c = corr(apb, amb)
+    inf_mask = np.isinf(a) | np.isinf(b)
+    if inf_mask.any():
+        c = np.where(inf_mask, 0.0, c)
+    return base + c
+
+
+def _oracle_check_pass(v2c, lay, mode):
+    F = v2c.shape[0]
+    ext = np.concatenate([v2c, np.full((F, 1), np.inf)], axis=1)
+    M = ext[:, lay.chk_eid]
+    corr = _ORACLE_CORR[mode]
+    fwd = np.full_like(M, np.inf)
+    bwd = np.full_like(M, np.inf)
+    for k in range(1, M.shape[2]):
+        fwd[:, :, k] = _oracle_pair_reduce(fwd[:, :, k - 1], M[:, :, k - 1], corr)
+    for k in range(M.shape[2] - 2, -1, -1):
+        bwd[:, :, k] = _oracle_pair_reduce(bwd[:, :, k + 1], M[:, :, k + 1], corr)
+    out = _oracle_pair_reduce(fwd, bwd, corr)
+    c2v = np.empty((F, lay.E))
+    c2v[:, lay.chk_eid[lay.chk_valid]] = out[:, lay.chk_valid]
+    return c2v
+
+
+def _oracle_soft(H, llr, cfg):
+    """The former second decode that `decode` ran for its soft output."""
+    lay = _layout(H)
+    v2c = llr[None, lay.edge_var].copy()
+    soft = llr[None, :].copy()
+    for _ in range(cfg.max_iters):
+        c2v = _oracle_check_pass(v2c, lay, cfg.mode)
+        if cfg.saturation is not None:
+            np.clip(c2v, -cfg.saturation, cfg.saturation, out=c2v)
+        ext = np.concatenate([c2v, np.zeros((1, 1))], axis=1)
+        soft = llr[None, :] + ext[:, lay.var_eid.T].sum(axis=2)
+        v2c = soft[:, lay.edge_var] - c2v
+        hard = (soft < 0).astype(np.uint8)
+        hard_ext = np.concatenate([hard, np.zeros((1, 1), dtype=np.uint8)], axis=1)
+        if cfg.early_stop and not (hard_ext[:, lay.chk_var.T].sum(axis=2) & 1).any():
+            break
+    return soft[0]
+
+
+@pytest.fixture(scope="module")
+def irregular_code():
+    """Check degrees 1, 2, 3..6, 7 and 9; variable degrees 1 to 5."""
+    rng = np.random.default_rng(11)
+    n = 40
+    rows = [[0], [1, 2], list(range(3, 10)), list(range(10, 19))]
+    rows += [rng.choice(n, size=int(d), replace=False) for d in rng.integers(3, 7, size=26)]
+    rows += [[v, (v + 1) % n] for v in range(0, n, 4)]  # no variable left unchecked
+    H = ParityCheckMatrix(rows, n)
+    assert {1, 2, 7, 9} <= set(H.chk_degrees.tolist())
+    assert H.var_degrees.min() >= 1 and H.var_degrees.max() < 8
+    return H
+
+
+def _kernel_inputs(rng, F, E, special):
+    x = rng.normal(2.0, 4.0, size=(F, E)) * rng.choice([1e-3, 1.0, 30.0], size=(F, E))
+    picks = rng.random((F, E))
+    x[picks < 0.05] = 0.0
+    x[(picks >= 0.05) & (picks < 0.10)] = 1e300
+    x[(picks >= 0.10) & (picks < 0.15)] = -1e300
+    if special:
+        x[(picks >= 0.15) & (picks < 0.20)] = np.inf
+        x[(picks >= 0.20) & (picks < 0.25)] = -np.inf
+    return x
+
+
+@pytest.mark.parametrize("mode", ["pairwise", "approx", "min-sum"])
+@pytest.mark.parametrize("which", ["regular", "irregular"])
+def test_check_kernel_matches_signed_oracle(mode, which, code, irregular_code):
+    H = code if which == "regular" else irregular_code
+    lay = _layout(H)
+    rng = np.random.default_rng(len(mode) + 7 * len(which))
+    for F in (1, 5, 64):
+        x = _kernel_inputs(rng, F, lay.E, special=False)
+        ref = _oracle_check_pass(x, lay, mode)
+        out = _check_pass(x, lay, mode)
+        # bit equality; only an exact zero may come out as -0.0 here
+        assert np.array_equal(out, ref)
+        nz = ref != 0
+        assert np.array_equal(out[nz].view(np.int64), ref[nz].view(np.int64))
+        x = _kernel_inputs(rng, F, lay.E, special=True)
+        np.testing.assert_allclose(
+            _check_pass(x, lay, mode), _oracle_check_pass(x, lay, mode), rtol=0, atol=1e-12
+        )
+
+
+@pytest.mark.parametrize("early_stop", [True, False])
+@pytest.mark.parametrize("sat", [None, 4.0])
+def test_decode_soft_matches_second_decode(code, irregular_code, early_stop, sat):
+    cfg = ChannelConfig(2.0, 0.5)
+    dec = DecoderConfig(max_iters=12, saturation=sat, early_stop=early_stop)
+    for H in (code, irregular_code):
+        llrs = clean_llrs(H, cfg, 6, seed=12)
+        for llr in llrs:
+            got, want = decode(H, llr, dec).soft, _oracle_soft(H, llr, dec)
+            # unclamped, the degree-1 check's +inf turns into nan (inf - inf)
+            # in both; only the nan's sign bit may differ
+            np.testing.assert_array_equal(got, want)
+            real = ~np.isnan(want)
+            assert np.array_equal(got[real].view(np.int64), want[real].view(np.int64))
