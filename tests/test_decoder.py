@@ -299,6 +299,10 @@ def _kernel_inputs(rng, F, E, special):
     if special:
         x[(picks >= 0.15) & (picks < 0.20)] = np.inf
         x[(picks >= 0.20) & (picks < 0.25)] = -np.inf
+        # magnitudes whose pairwise combination rounds to within an ulp of
+        # log 2 of zero: the two recursions may part there by ~1e-16
+        tiny = (picks >= 0.25) & (picks < 0.35)
+        x[tiny] = rng.normal(0.0, 1e-16, size=int(tiny.sum()))
     return x
 
 
@@ -316,7 +320,7 @@ def test_check_kernel_matches_signed_oracle(mode, which, code, irregular_code):
         assert np.array_equal(out, ref)
         nz = ref != 0
         assert np.array_equal(out[nz].view(np.int64), ref[nz].view(np.int64))
-        x = _kernel_inputs(rng, F, lay.E, special=True)
+        x = _kernel_inputs(rng, F, lay.E, special=True)  # also +-inf and ~1e-16
         np.testing.assert_allclose(
             _check_pass(x, lay, mode), _oracle_check_pass(x, lay, mode), rtol=0, atol=1e-12
         )
