@@ -4,8 +4,11 @@ For variable degree d_v, an (a, b) elementary absorbing set collapses to
 a connected simple graph of order a, size (a*d_v - b)/2, with every
 vertex degree strictly above d_v/2 (the strict-majority condition) and
 at most d_v.  Graphs are generated by vertex augmentation with
-canonical-certificate deduplication at every level; each class is then
-ranked by the spectral radius of its state digraph.
+canonical-certificate deduplication at every level, in one chain per d_v
+that serves every order; a parent is augmented by one vertex subset per
+orbit of its automorphisms, which the certificate search finds as it
+prunes.  Each class is then ranked by the spectral radius of its state
+digraph.
 """
 
 from __future__ import annotations
@@ -21,88 +24,154 @@ from .spectral import frobenius_bounds, spectral_summary
 
 
 def _refine(adj, colors):
-    """Iterated neighbourhood refinement; returns stable integer colors."""
-    n = len(adj)
+    """Iterated neighbourhood refinement; returns stable integer colors.
+
+    Each round ranks the vertices by (color, sorted neighbour colors).
+    A round that splits no class is the last: its ranks are final.
+    """
+    k = len(set(colors))
     while True:
-        sigs = [(colors[v], tuple(sorted(colors[w] for w in adj[v]))) for v in range(n)]
+        sigs = [(c, tuple(sorted(map(colors.__getitem__, nbrs))))
+                for c, nbrs in zip(colors, adj)]
         mapping = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = tuple(mapping[s] for s in sigs)
-        if new == colors:
+        colors = tuple(map(mapping.__getitem__, sigs))
+        if len(mapping) == k:
             return colors
-        colors = new
+        k = len(mapping)
 
 
-def canonical_cert(adj) -> tuple:
+def _orbit_labels(gens, n: int) -> list[int]:
+    """Least member of each vertex's orbit under the group `gens` generate."""
+    root = list(range(n))
+
+    def find(v):
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    for g in gens:
+        for v in range(n):
+            a, b = find(v), find(g[v])
+            if a != b:
+                root[max(a, b)] = min(a, b)
+    return [find(v) for v in range(n)]
+
+
+def canonical_cert(adj, autos: list | None = None) -> tuple:
     """Canonical form of a simple graph given as neighbour lists.
 
-    Refinement plus backtracking individualization: every member of the
-    first non-singleton color class is individualized in turn and the
-    lexicographically smallest adjacency encoding over all discrete
+    Refinement plus backtracking individualization: members of the first
+    non-singleton color class are individualized in turn and the
+    lexicographically smallest adjacency encoding over the discrete
     colorings wins.  Equal certificates reconstruct equal graphs, so the
     certificate is sound and complete.
+
+    A leaf whose encoding equals the first or the best one found differs
+    from it by an automorphism, which is recorded.  A target-cell vertex
+    that the automorphisms fixing the node's individualized prefix map
+    onto an explored vertex is skipped: its subtree is the image of an
+    explored one and holds only encodings already seen, so the minimum is
+    that of the full search.  The automorphisms found (tuples g, vertex v
+    maps to g[v]) are appended to `autos` when it is given; they generate
+    a subgroup of the automorphism group.
     """
     n = len(adj)
-    best = None
+    found: list = []
+    first = best = None  # (encoding, vertex at each position)
 
-    def emit(colors):
-        nonlocal best
-        perm = sorted(range(n), key=colors.__getitem__)
-        pos = {v: i for i, v in enumerate(perm)}
-        cert = tuple(tuple(sorted(pos[w] for w in adj[v])) for v in perm)
-        if best is None or cert < best:
-            best = cert
-
-    def rec(colors):
-        groups: dict = {}
+    def leaf(colors):
+        nonlocal first, best
+        perm = [0] * n
         for v, c in enumerate(colors):
-            groups.setdefault(c, []).append(v)
-        target = None
-        for c in sorted(groups):
-            if len(groups[c]) > 1:
-                target = groups[c]
-                break
-        if target is None:
-            emit(colors)
+            perm[c] = v
+        cert = tuple(tuple(sorted(map(colors.__getitem__, adj[v]))) for v in perm)
+        for ref in (first, best):
+            if ref is not None and ref[0] == cert:
+                if perm != ref[1]:
+                    g = [0] * n
+                    for u, v in zip(ref[1], perm):
+                        g[u] = v
+                    found.append(tuple(g))
+                return
+        if first is None:
+            first = best = (cert, perm)
+        elif cert < best[0]:
+            best = (cert, perm)
+
+    def rec(colors, prefix):
+        size = [0] * n
+        for c in colors:
+            size[c] += 1
+        cell = next((c for c in range(n) if size[c] > 1), None)
+        if cell is None:
+            leaf(colors)
             return
-        for v in target:
+        explored: list = []
+        n_gens, orbit = 0, None
+        for v in (u for u in range(n) if colors[u] == cell):
+            if explored and found:
+                if n_gens != len(found):
+                    n_gens = len(found)
+                    fixing = [g for g in found if all(g[u] == u for u in prefix)]
+                    orbit = _orbit_labels(fixing, n)
+                if any(orbit[u] == orbit[v] for u in explored):
+                    continue
             split = list(colors)
             split[v] = -1
-            rec(_refine(adj, tuple(split)))
+            rec(_refine(adj, tuple(split)), prefix + (v,))
+            explored.append(v)
 
-    rec(_refine(adj, (0,) * n))
-    return best
+    rec(_refine(adj, (0,) * n), ())
+    if autos is not None:
+        autos.extend(found)
+    return best[0]
 
 
-def _cert_of_edges(n, edges) -> tuple:
+def _cert_of_edges(n, edges, autos=None) -> tuple:
     adj = [[] for _ in range(n)]
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    return canonical_cert(adj)
+    return canonical_cert(adj, autos)
 
 
+# d_v -> levels of the augmentation chain, indexed by order: each level a
+# list of (edges, automorphism generators), one per isomorphism class
 _CENSUS_CACHE: dict = {}
 
 
 def _augmented_census(a: int, d_v: int) -> list:
-    """All simple graphs of order `a` (as edge tuples, one per iso
-    class) with max degree <= d_v and min degree at least the
-    strict-majority bound d_v//2 + 1."""
-    key = (a, d_v)
-    if key in _CENSUS_CACHE:
-        return _CENSUS_CACHE[key]
+    """Simple graphs of order `a` (as edge tuples, one per iso class) with
+    max degree <= d_v that may still grow into the census window.
+
+    One augmentation chain per d_v serves every order up to the one it
+    was built to; a deeper request rebuilds it.  Its pruning is set for
+    that deepest order, which keeps a superset of what a chain built to
+    `a` keeps, so every graph of order `a` with min degree at least the
+    strict-majority bound d_v//2 + 1 is among the returned ones.
+    """
+    levels = _CENSUS_CACHE.get(d_v)
+    if levels is None or len(levels) <= a:
+        levels = _build_chain(a, d_v)
+        _CENSUS_CACHE[d_v] = levels
+    return [edges for edges, _ in levels[a]]
+
+
+def _build_chain(a_max: int, d_v: int) -> list:
     dmin = d_v // 2 + 1
-    level = {(): ()}  # cert -> edges, starts from the 1-vertex graph
-    for k in range(1, a):
-        nxt: dict = {}
-        for edges in level.values():
+    level = [((), [])]  # starts from the 1-vertex graph
+    levels = [[], level]
+    for k in range(1, a_max):
+        nxt: dict = {}  # cert -> (edges, automorphism generators)
+        future = a_max - (k + 1)
+        for edges, autos in level:
             deg = [0] * k
             for u, v in edges:
                 deg[u] += 1
                 deg[v] += 1
             free = [v for v in range(k) if deg[v] < d_v]
-            future = a - (k + 1)
-            for subset in _subsets(free, d_v):
+            for subset in _subset_reps(free, d_v, autos):
                 new_edges = edges + tuple((v, k) for v in subset)
                 ndeg = deg + [len(subset)]
                 for v in subset:
@@ -113,18 +182,37 @@ def _augmented_census(a: int, d_v: int) -> list:
                     continue
                 if sum(max(0, dmin - d) for d in ndeg) > future * d_v:
                     continue
-                cert = _cert_of_edges(k + 1, new_edges)
+                found: list = []
+                cert = _cert_of_edges(k + 1, new_edges, found)
                 if cert not in nxt:
-                    nxt[cert] = new_edges
-        level = nxt
-    out = list(level.values())
-    _CENSUS_CACHE[key] = out
-    return out
+                    nxt[cert] = (new_edges, found)
+        level = list(nxt.values())
+        levels.append(level)
+    return levels
 
 
-def _subsets(pool, kmax):
+def _subset_reps(pool, kmax, autos):
+    """Subsets of `pool` up to size kmax, one per orbit of the group the
+    parent's automorphisms `autos` generate: the lexicographically least.
+    Subsets in one orbit give isomorphic children.  `pool` is sorted and
+    closed under the group."""
     for r in range(0, min(len(pool), kmax) + 1):
-        yield from itertools.combinations(pool, r)
+        seen: set = set()
+        for subset in itertools.combinations(pool, r):
+            if subset in seen:
+                continue
+            yield subset
+            if not autos:
+                continue
+            seen.add(subset)
+            stack = [subset]
+            while stack:
+                s = stack.pop()
+                for g in autos:
+                    t = tuple(sorted([g[v] for v in s]))
+                    if t not in seen:
+                        seen.add(t)
+                        stack.append(t)
 
 
 def generate_classes(d_v: int, a: int, b: int) -> list[Multigraph]:
@@ -213,7 +301,13 @@ def class_spectra(classes, d_v: int) -> ClassRow:
 
 def emit_table(d_v: int, a_max: int, r_cutoff: float | None = None) -> list[ClassRow]:
     """Census rows for all feasible (a, b) with a <= a_max, sorted by
-    (a, b); when r_cutoff is given only rows with r_max above it stay."""
+    (a, b); when r_cutoff is given only rows with r_max above it stay.
+    Needs d_v >= 2 (d_v = 2 gives the cycles) and a_max >= 2."""
+    if d_v < 2:
+        raise ValueError(f"d_v must be at least 2, got {d_v}")
+    if a_max < 2:
+        raise ValueError(f"a_max must be at least 2, got {a_max}")
+    _augmented_census(a_max, d_v)  # one chain serves every order below
     dmin = d_v // 2 + 1
     rows = []
     for a in range(2, a_max + 1):

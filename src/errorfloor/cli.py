@@ -212,7 +212,8 @@ def _rate_of(cfg_rate, H) -> float:
 
 
 def _build(ctor, *args, **kwargs):
-    """Constructor validation failures are configuration errors."""
+    """Validation failures (ValueError) of a constructor, or of a run
+    checking its arguments, are configuration errors."""
     try:
         return ctor(*args, **kwargs)
     except ValueError as e:
@@ -312,8 +313,8 @@ def cmd_predict(cfg: dict) -> int:
 
 def cmd_dde(cfg: dict) -> int:
     rate = cfg["rate"] if cfg["rate"] is not None else 1.0 - cfg["dv"] / cfg["dc"]
-    stats = stats_from_dde(_build(ChannelConfig, cfg["ebn0"], rate), cfg["dv"], cfg["dc"],
-                           cfg["iters"], cfg["sat"])
+    stats = _build(stats_from_dde, _build(ChannelConfig, cfg["ebn0"], rate), cfg["dv"],
+                   cfg["dc"], cfg["iters"], cfg["sat"])
     man = _Manifest("dde", cfg, cfg["out"])
     with man.csv_open(Path(f"{cfg['out']}.csv")) as fh:
         fh.write("# dde-table v1\n")
@@ -327,7 +328,7 @@ def cmd_dde(cfg: dict) -> int:
 
 
 def cmd_enumerate(cfg: dict) -> int:
-    rows = emit_table(cfg["dv"], cfg["amax"], cfg["r_cutoff"])
+    rows = _build(emit_table, cfg["dv"], cfg["amax"], cfg["r_cutoff"])
     man = _Manifest("enumerate", cfg, cfg["out"])
     with man.csv_open(Path(f"{cfg['out']}.csv")) as fh:
         fh.write(f"# census v1 dv={cfg['dv']}\n")
@@ -384,8 +385,8 @@ def cmd_stats(cfg: dict) -> int:
             raise ConfigError("--alist is required for the spa source")
         H = _load_code(cfg["alist"])
         chan = _build(ChannelConfig, cfg["ebn0"], _rate_of(cfg["rate"], H))
-        stats = stats_from_capture(
-            H, chan, cfg["iters"], cfg["sat"], mode=cfg["mode"],
+        stats = _build(
+            stats_from_capture, H, chan, cfg["iters"], cfg["sat"], mode=cfg["mode"],
             n_frames=cfg["frames"], seed=cfg["seed"],
         )
     else:
@@ -394,8 +395,8 @@ def cmd_stats(cfg: dict) -> int:
             rate = _rate_of(None, _load_code(cfg["alist"]))
         if rate is None:
             rate = 1.0 - cfg["dv"] / cfg["dc"]
-        stats = stats_from_dde(_build(ChannelConfig, cfg["ebn0"], rate), cfg["dv"], cfg["dc"],
-                               cfg["iters"], cfg["sat"])
+        stats = _build(stats_from_dde, _build(ChannelConfig, cfg["ebn0"], rate), cfg["dv"],
+                       cfg["dc"], cfg["iters"], cfg["sat"])
     man = _Manifest("stats", cfg, cfg["out"])
     path = Path(f"{cfg['out']}.csv")
     man.doc["outputs"].append(str(path))

@@ -223,6 +223,8 @@ def dde_run(
     delta: float = DEFAULT_STEP,
     half: int = DEFAULT_HALF_BINS,
 ) -> DDEResult:
+    if n_iters < 1:
+        raise ValueError(f"n_iters must be at least 1, got {n_iters}")
     if saturation is not None and saturation >= half * delta:
         warnings.warn(
             f"saturation {saturation:g} is beyond the grid edge {half * delta:g}; "

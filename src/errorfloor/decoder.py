@@ -409,6 +409,26 @@ class BatchResult:
         return [np.flatnonzero(row) for row in self.failed]
 
 
+def _unclamped_v2c(soft, c2v, ch, lay: _Layout) -> np.ndarray:
+    """Variable-to-check messages soft - c2v when check outputs are not
+    clamped.  A degree-1 check sends +inf, which degree-2 checks pass on;
+    on such an edge soft - c2v would be inf - inf, so the message there is
+    the channel value plus the variable's other inputs (+inf when one of
+    them is infinite too).  Channel values are finite and a check output
+    is infinite only when all its other inputs are, so every infinite
+    output is +inf."""
+    inf = np.isinf(c2v)
+    if not inf.any():
+        return np.take(soft, lay.edge_var, axis=1) - c2v
+    fin = np.where(inf, 0.0, c2v)
+    v2c = np.take(soft, lay.edge_var, axis=1) - fin
+    rest = ch + _gather(fin, lay.var_eid, 0.0, lay.var_padded).sum(axis=1)
+    n_inf = _gather(inf, lay.var_eid, False, lay.var_padded).sum(axis=1)
+    others = np.where(n_inf > 1, np.inf, rest)
+    v2c[inf] = np.take(others, lay.edge_var, axis=1)[inf]
+    return v2c
+
+
 def decode_batch(
     H: ParityCheckMatrix,
     llrs: np.ndarray,
@@ -464,7 +484,10 @@ def decode_batch(
             capture.post_check(it - 1, c2v)
 
         soft = ch + _gather(c2v, lay.var_eid, 0.0, lay.var_padded).sum(axis=1)
-        v2c = np.take(soft, lay.edge_var, axis=1) - c2v
+        if sat is None:
+            v2c = _unclamped_v2c(soft, c2v, ch, lay)
+        else:
+            v2c = np.take(soft, lay.edge_var, axis=1) - c2v
 
         hard = (soft < 0).astype(np.uint8)
         wrong = hard != ref

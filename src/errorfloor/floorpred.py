@@ -108,6 +108,8 @@ def stats_from_capture(
 ) -> InputStats:
     """Population statistics captured from the decoder itself on
     all-zero-codeword frames."""
+    if n_iters < 1:
+        raise ValueError(f"n_iters must be at least 1, got {n_iters}")
     dec = DecoderConfig(mode=mode, max_iters=n_iters, saturation=saturation)
     d_c = _check_degree(H)
 

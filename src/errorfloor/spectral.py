@@ -22,39 +22,34 @@ def _as_square(M) -> np.ndarray:
     return M
 
 
-def _bool_power_positive(B: np.ndarray, p: int) -> bool:
-    """True when B**p (boolean arithmetic) has no zero entry."""
-    # operands are 0/1, so a product entry counts at most m paths: exact
-    # in float64, where a narrow integer type would wrap to zero
-    result = np.eye(len(B))
-    base = B.astype(float)
-    while p:
-        if p & 1:
-            result = ((result @ base) > 0).astype(float)
-        base = ((base @ base) > 0).astype(float)
-        p >>= 1
-    return bool(result.all())
+def _arcs(B: np.ndarray) -> tuple[list[list[int]], list[list[int]]]:
+    """Successor and predecessor lists of a boolean adjacency matrix,
+    each in increasing order."""
+    m = len(B)
+    succ: list = [[] for _ in range(m)]
+    pred: list = [[] for _ in range(m)]
+    for u, w in zip(*(x.tolist() for x in np.nonzero(B))):
+        succ[u].append(w)
+        pred[w].append(u)
+    return succ, pred
 
 
 def is_irreducible(M) -> bool:
-    """Frobenius test: (I + M)^(m-1) strictly positive."""
-    M = _as_square(M)
-    m = len(M)
-    B = (M > 0) | np.eye(m, dtype=bool)
-    return _bool_power_positive(B, m - 1)
+    """One strongly connected component."""
+    return len(_sccs(*_arcs(_as_square(M) > 0))) == 1
 
 
 def is_primitive(M) -> bool:
-    """Wielandt test: M^p > 0 for p = (m-1)m + 1.
+    """Irreducible with period 1 (Perron-Frobenius)."""
+    succ, pred = _arcs(_as_square(M) > 0)
+    comps = _sccs(succ, pred)
+    return len(comps) == 1 and _aperiodic(succ, _period(succ, comps[0]))
 
-    Reducible matrices are never primitive; the exponent bound is sharp
-    so no smaller power needs checking.
-    """
-    M = _as_square(M)
-    if not is_irreducible(M):
-        return False
-    m = len(M)
-    return _bool_power_positive(M > 0, (m - 1) * m + 1)
+
+def _aperiodic(succ, h: int) -> bool:
+    """Period 1 of an irreducible matrix; a single state has a cycle only
+    through its self loop."""
+    return h == 1 and bool(succ[0])
 
 
 def frobenius_bounds(M) -> tuple[float, float]:
@@ -69,11 +64,10 @@ def approx_spectral_radius(a: int, b: int, d_v: int) -> float:
     return d_v - 1 - b / a
 
 
-def _sccs(B: np.ndarray) -> list[list[int]]:
-    """Kosaraju strongly-connected components (iterative)."""
-    n = len(B)
-    adj = [np.flatnonzero(B[i]).tolist() for i in range(n)]
-    radj = [np.flatnonzero(B[:, i]).tolist() for i in range(n)]
+def _sccs(adj: list[list[int]], radj: list[list[int]]) -> list[list[int]]:
+    """Kosaraju strongly-connected components (iterative) from successor
+    and predecessor lists."""
+    n = len(adj)
     seen = [False] * n
     order = []
     for s in range(n):
@@ -112,17 +106,17 @@ def _sccs(B: np.ndarray) -> list[list[int]]:
     return comps
 
 
-def _period(B: np.ndarray, nodes: list[int]) -> int:
-    """gcd of directed cycle lengths within one strongly connected part."""
-    sub = {v: i for i, v in enumerate(nodes)}
+def _period(adj: list[list[int]], nodes: list[int]) -> int:
+    """gcd of directed cycle lengths within one strongly connected part,
+    from successor lists."""
+    sub = set(nodes)
     dist = {nodes[0]: 0}
     frontier = [nodes[0]]
     g = 0
     while frontier:
         nxt = []
         for u in frontier:
-            for w in np.flatnonzero(B[u]):
-                w = int(w)
+            for w in adj[u]:
                 if w not in sub:
                     continue
                 if w in dist:
@@ -133,8 +127,7 @@ def _period(B: np.ndarray, nodes: list[int]) -> int:
         frontier = nxt
     # sweep once more: cross arcs between settled nodes carry the gcd
     for u in nodes:
-        for w in np.flatnonzero(B[u]):
-            w = int(w)
+        for w in adj[u]:
             if w in sub:
                 g = math.gcd(g, dist[u] + 1 - dist[w])
     return abs(g) if g else 1
@@ -184,23 +177,23 @@ def spectral_summary(M) -> SpectralSummary:
     M = _as_square(M)
     m = len(M)
     B = M > 0
+    succ, pred = _arcs(B)
+    comps = _sccs(succ, pred)
+    irr = len(comps) == 1
 
     row = M.sum(axis=1)
     col = M.sum(axis=0)
     if np.all(row == 1) and np.all(col == 1) and np.all((M == 0) | (M == 1)):
-        comps = _sccs(B)
-        if all(len(c) > 1 for c in comps) and not is_irreducible(M):
+        if all(len(c) > 1 for c in comps) and not irr:
             h = max(len(c) for c in comps)
             return SpectralSummary(1.0, h, np.full(m, 1.0 / m), False, False, True)
 
-    irr = is_irreducible(M)
     if irr:
         r, w1 = _power_iteration(M)
-        h = _period(B, list(range(m)))
-        return SpectralSummary(r, h, w1, True, is_primitive(M), False)
+        h = _period(succ, comps[0])
+        return SpectralSummary(r, h, w1, True, _aperiodic(succ, h), False)
 
     # reducible: dominant component carries r and h
-    comps = _sccs(B)
     best_r, best_nodes = 0.0, None
     for nodes in comps:
         if len(nodes) == 1 and not B[nodes[0], nodes[0]]:
@@ -212,5 +205,5 @@ def spectral_summary(M) -> SpectralSummary:
     if best_nodes is None:
         raise ValueError("nilpotent matrix: no directed cycle, spectral radius 0")
     _, w1 = _power_iteration(M)
-    h = _period(B, best_nodes)
+    h = _period(succ, best_nodes)
     return SpectralSummary(best_r, h, w1, False, False, False)

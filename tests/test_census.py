@@ -6,8 +6,10 @@ import itertools
 import numpy as np
 import pytest
 
+from errorfloor import census
 from errorfloor.census import (
     ClassRow,
+    _augmented_census,
     canonical_cert,
     class_spectra,
     emit_table,
@@ -158,3 +160,167 @@ def test_table_to_csv_layout():
     first = lines[1].split(",")
     assert int(first[0]) == rows[0].a
     assert float(first[4]) == pytest.approx(rows[0].r_min, abs=1e-5)
+
+
+# --- the former exhaustive search and per-order augmentation, kept as the
+# oracles of the pruned search and the one-chain-per-d_v census ---
+
+def _oracle_refine(adj, colors):
+    n = len(adj)
+    while True:
+        sigs = [(colors[v], tuple(sorted(colors[w] for w in adj[v]))) for v in range(n)]
+        mapping = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = tuple(mapping[s] for s in sigs)
+        if new == colors:
+            return colors
+        colors = new
+
+
+def _oracle_cert(adj):
+    n = len(adj)
+    best = None
+
+    def emit(colors):
+        nonlocal best
+        perm = sorted(range(n), key=colors.__getitem__)
+        pos = {v: i for i, v in enumerate(perm)}
+        cert = tuple(tuple(sorted(pos[w] for w in adj[v])) for v in perm)
+        if best is None or cert < best:
+            best = cert
+
+    def rec(colors):
+        groups: dict = {}
+        for v, c in enumerate(colors):
+            groups.setdefault(c, []).append(v)
+        target = None
+        for c in sorted(groups):
+            if len(groups[c]) > 1:
+                target = groups[c]
+                break
+        if target is None:
+            emit(colors)
+            return
+        for v in target:
+            split = list(colors)
+            split[v] = -1
+            rec(_oracle_refine(adj, tuple(split)))
+
+    rec(_oracle_refine(adj, (0,) * n))
+    return best
+
+
+def _adj_of(n, edges):
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
+def _oracle_augmented_census(a, d_v):
+    dmin = d_v // 2 + 1
+    level = {(): ()}
+    for k in range(1, a):
+        nxt: dict = {}
+        for edges in level.values():
+            deg = [0] * k
+            for u, v in edges:
+                deg[u] += 1
+                deg[v] += 1
+            free = [v for v in range(k) if deg[v] < d_v]
+            future = a - (k + 1)
+            for r in range(0, min(len(free), d_v) + 1):
+                for subset in itertools.combinations(free, r):
+                    new_edges = edges + tuple((v, k) for v in subset)
+                    ndeg = deg + [len(subset)]
+                    for v in subset:
+                        ndeg[v] += 1
+                    if any(dmin - d > future for d in ndeg):
+                        continue
+                    if sum(max(0, dmin - d) for d in ndeg) > future * d_v:
+                        continue
+                    cert = _oracle_cert(_adj_of(k + 1, new_edges))
+                    if cert not in nxt:
+                        nxt[cert] = new_edges
+        level = nxt
+    return list(level.values())
+
+
+def _random_graphs(rng, count, n_max):
+    for n in range(n_max + 1):
+        yield _adj_of(n, [])
+        yield _adj_of(n, list(itertools.combinations(range(n), 2)))
+    for _ in range(count):
+        n = int(rng.integers(1, n_max + 1))
+        p = rng.choice([0.2, 0.5, 0.8])
+        yield _adj_of(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+
+
+def test_cert_matches_exhaustive_search_oracle():
+    rng = np.random.default_rng(3)
+    for adj in _random_graphs(rng, 600, 7):
+        autos = []
+        assert canonical_cert(adj, autos) == _oracle_cert(adj)
+        # what the search reports as automorphisms are automorphisms
+        edges = {frozenset((u, v)) for u in range(len(adj)) for v in adj[u]}
+        for g in autos:
+            assert sorted(g) == list(range(len(adj)))
+            assert {frozenset((g[u], g[v])) for u, v in edges} == edges
+
+
+def test_cert_prunes_symmetric_graphs():
+    # K_6 has 720 leaves unpruned; the pruned search visits a handful
+    # and its automorphisms move every vertex
+    k6 = _adj_of(6, list(itertools.combinations(range(6), 2)))
+    autos = []
+    assert canonical_cert(k6, autos) == _oracle_cert(k6)
+    assert 0 < len(autos) < 720
+    moved = {v for g in autos for v in range(6) if g[v] != v}
+    assert moved == set(range(6))
+
+
+def _window_certs(d_v, a, graphs):
+    dmin = d_v // 2 + 1
+    out = set()
+    for edges in graphs:
+        G = Multigraph(a, list(edges))
+        deg = G.degrees()
+        if deg.min() >= dmin and deg.max() <= d_v and G.connected():
+            out.add(_oracle_cert(_adj_of(a, edges)))
+    return out
+
+
+@pytest.mark.parametrize("d_v", [2, 3, 4, 5, 6])
+def test_classes_match_per_order_oracle(d_v, monkeypatch):
+    monkeypatch.setattr(census, "_CENSUS_CACHE", {})
+    dmin = d_v // 2 + 1
+    for a in range(2, 8):
+        want = _window_certs(d_v, a, _oracle_augmented_census(a, d_v))
+        got = []
+        for b in range((a * d_v) % 2, a * (d_v - dmin) + 1, 2):
+            got += [_oracle_cert(_adj_of(a, G.edges)) for G in generate_classes(d_v, a, b)]
+        assert len(got) == len(set(got))  # one graph per class
+        assert set(got) == want
+        assert _window_certs(d_v, a, _augmented_census(a, d_v)) == want
+
+
+def test_classes_do_not_depend_on_chain_depth(monkeypatch):
+    def certs(d_v, a, b):
+        return sorted(_oracle_cert(_adj_of(a, G.edges)) for G in generate_classes(d_v, a, b))
+
+    cases = [(3, 5, 1), (3, 6, 2), (4, 5, 2), (4, 6, 4), (5, 5, 5), (5, 6, 6)]
+    monkeypatch.setattr(census, "_CENSUS_CACHE", {})
+    shallow = [certs(*c) for c in cases]  # each chain built to that order
+    monkeypatch.setattr(census, "_CENSUS_CACHE", {})
+    for d_v in (3, 4, 5):
+        _augmented_census(8, d_v)
+    deep = [certs(*c) for c in cases]  # served by the order-8 chains
+    assert deep == shallow
+    assert all(shallow)
+
+
+def test_emit_table_rejects_degenerate_sizes():
+    for d_v, a_max in ((1, 6), (0, 6), (-1, 6), (3, 1), (3, -3)):
+        with pytest.raises(ValueError, match="at least 2"):
+            emit_table(d_v, a_max)
+    assert [(r.a, r.b, r.count) for r in emit_table(2, 5)] == [(3, 0, 1), (4, 0, 1), (5, 0, 1)]

@@ -149,6 +149,30 @@ def test_iteration_counts_below_one_exit_2(tmp_path, alist, capsys):
         assert "at least 1" in capsys.readouterr().err
 
 
+def test_evolution_iteration_counts_below_one_exit_2(tmp_path, alist, capsys):
+    # --iters 0 used to exit 3 (UnboundLocalError in the DDE loop)
+    for argv in (["dde", "--ebn0", "2.8"],
+                 ["stats", "--source", "dde", "--ebn0", "2.8"],
+                 ["stats", "--source", "spa", "--alist", alist, "--ebn0", "2.8",
+                  "--frames", "8"]):
+        assert main(argv + ["--iters", "0", "--out", "s"]) == 2
+        assert "at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
+
+def test_enumerate_rejects_degenerate_sizes(tmp_path, capsys):
+    # --dv 1 used to exit 3 ("nilpotent matrix"); --dv 0, -1 and --amax
+    # 1, -3 exited 0 with an empty table
+    for flags in (["--dv", "1"], ["--dv", "0"], ["--dv", "-1"],
+                  ["--amax", "1"], ["--amax", "-3"]):
+        assert main(["enumerate", "--amax", "5", *flags, "--out", "e"]) == 2
+        assert "at least 2" in capsys.readouterr().err
+        assert not (tmp_path / "e.csv").exists()
+    assert main(["enumerate", "--dv", "2", "--amax", "4", "--out", "e"]) == 0
+    rows = (tmp_path / "e.csv").read_text().splitlines()[3:]
+    assert rows == ["3,0,1,3,1,1", "4,0,1,4,1,1"]  # the cycles
+
+
 def test_runtime_errors_exit_3(tmp_path, alist, capsys):
     # spa capture keeps iterating past convergence, so an unsaturated
     # exact-tanh run walks into the rounding range and trips the guard

@@ -1,6 +1,7 @@
 """Check-node update rules and the batch message-passing decoder."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -268,7 +269,13 @@ def _oracle_soft(H, llr, cfg):
             np.clip(c2v, -cfg.saturation, cfg.saturation, out=c2v)
         ext = np.concatenate([c2v, np.zeros((1, 1))], axis=1)
         soft = llr[None, :] + ext[:, lay.var_eid.T].sum(axis=2)
-        v2c = soft[:, lay.edge_var] - c2v
+        with np.errstate(invalid="ignore"):
+            v2c = soft[:, lay.edge_var] - c2v
+        # an infinite (unclamped) check output: the other inputs' sum
+        for e in np.flatnonzero(np.isinf(c2v[0])):
+            v = lay.edge_var[e]
+            others = [x for x in lay.var_eid[:, v] if x != e and x < lay.E]
+            v2c[0, e] = llr[v] + c2v[0, others].sum()
         hard = (soft < 0).astype(np.uint8)
         hard_ext = np.concatenate([hard, np.zeros((1, 1), dtype=np.uint8)], axis=1)
         if cfg.early_stop and not (hard_ext[:, lay.chk_var.T].sum(axis=2) & 1).any():
@@ -335,8 +342,20 @@ def test_decode_soft_matches_second_decode(code, irregular_code, early_stop, sat
         llrs = clean_llrs(H, cfg, 6, seed=12)
         for llr in llrs:
             got, want = decode(H, llr, dec).soft, _oracle_soft(H, llr, dec)
-            # unclamped, the degree-1 check's +inf turns into nan (inf - inf)
-            # in both; only the nan's sign bit may differ
-            np.testing.assert_array_equal(got, want)
-            real = ~np.isnan(want)
-            assert np.array_equal(got[real].view(np.int64), want[real].view(np.int64))
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("early_stop", [True, False])
+def test_unclamped_decode_has_no_nan(irregular_code, early_stop):
+    # a degree-1 check sends +inf; soft - c2v on its edge was inf - inf,
+    # and the nan spread to most variables within a few iterations
+    H = irregular_code
+    dec = DecoderConfig(max_iters=12, saturation=None, early_stop=early_stop)
+    llrs = clean_llrs(H, ChannelConfig(2.0, 0.5), 6, seed=12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        soft = decode_batch(H, llrs, dec).soft
+        for llr in llrs:
+            assert not np.isnan(decode(H, llr, dec).soft).any()
+    assert not np.isnan(soft).any()
+    assert np.isposinf(soft).any()  # the forced variables

@@ -119,3 +119,45 @@ def test_power_iteration_raises_when_not_converged():
         _power_iteration(M, max_iter=3)
     r, w = _power_iteration(M)
     assert r == pytest.approx(np.abs(np.linalg.eigvals(M)).max(), rel=1e-9)
+
+
+# --- the former matrix-power tests, kept as the oracle of the SCC-based
+# ones ---
+
+def _oracle_bool_power_positive(B, p):
+    result = np.eye(len(B))
+    base = B.astype(float)
+    while p:
+        if p & 1:
+            result = ((result @ base) > 0).astype(float)
+        base = ((base @ base) > 0).astype(float)
+        p >>= 1
+    return bool(result.all())
+
+
+def _oracle_irreducible(M):
+    m = len(M)
+    return _oracle_bool_power_positive((M > 0) | np.eye(m, dtype=bool), m - 1)
+
+
+def _oracle_primitive(M):
+    m = len(M)
+    return _oracle_irreducible(M) and _oracle_bool_power_positive(M > 0, (m - 1) * m + 1)
+
+
+def test_scc_tests_match_matrix_power_oracle():
+    rng = np.random.default_rng(5)
+    cases = [np.zeros((1, 1)), np.ones((1, 1)), CYCLE4, np.ones((256, 256)),
+             np.roll(np.eye(256), 1, axis=1)]
+    ring = np.roll(np.eye(256), 1, axis=1)
+    ring[:, 0] = 1
+    cases.append(ring)
+    for _ in range(400):
+        m = int(rng.integers(1, 10))
+        cases.append((rng.random((m, m)) < rng.choice([0.1, 0.25, 0.5])).astype(float))
+    seen = set()
+    for M in cases:
+        got = (is_irreducible(M), is_primitive(M))
+        assert got == (_oracle_irreducible(M), _oracle_primitive(M))
+        seen.add(got)
+    assert seen == {(False, False), (True, False), (True, True)}
