@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+from collections import deque
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,9 +73,39 @@ def frame_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=(seed, stream))))
 
 
-def sample_noise_frame(cfg: ChannelConfig, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw one frame of AWGN samples with the config's sigma."""
-    return rng.normal(0.0, cfg.sigma, size=n)
+def sample_llrs(cfg: ChannelConfig, rng: np.random.Generator, shape) -> np.ndarray:
+    """Channel LLRs of the all-zero word: (2/sigma^2) * (1 + n) with n
+    i.i.d. N(0, sigma^2).  One (F, n) draw equals F row draws in order."""
+    return cfg.llr_scale * (1.0 + rng.normal(0.0, cfg.sigma, size=shape))
+
+
+def ordered_map(fn, tasks, workers: int = 1):
+    """Yield fn(task) for each task of a sequence, in task order.
+
+    With one worker or at most one task, fn runs in this process.
+    Otherwise a process pool keeps at most 4 * workers tasks in flight;
+    the tasks still pending are cancelled when the caller stops
+    iterating (closes the generator).  With `frame_rng` streams keyed by
+    the task, results do not depend on the worker count.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    if workers == 1 or len(tasks) <= 1:
+        yield from map(fn, tasks)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        window = 4 * workers
+        pending = deque(pool.submit(fn, t) for t in tasks[:window])
+        try:
+            for t in tasks[window:]:
+                out = pending.popleft().result()
+                pending.append(pool.submit(fn, t))
+                yield out
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for fut in pending:
+                fut.cancel()
 
 
 def uncoded_error_prob(cfg: ChannelConfig) -> float:

@@ -26,6 +26,7 @@ from .floorpred import (
     PredictionJob,
     load_job,
     predict_curve,
+    read_key_values,
     stats_from_capture,
     stats_from_dde,
 )
@@ -154,24 +155,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _read_config(path: str) -> dict:
-    kv = {}
-    try:
-        fh = open(path)
-    except OSError as e:
-        raise ConfigError(f"cannot read config file: {e}") from None
-    with fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"expected 'key = value' in {path}, got {line!r}")
-            k, v = line.split("=", 1)
-            kv[k.strip().replace("-", "_")] = v.strip()
-    return kv
-
-
 def _coerce(conv, value: str, where: str):
     try:
         return conv(value)
@@ -184,7 +167,12 @@ def _merge(cmd: str, args: argparse.Namespace) -> dict:
     spec = _SPECS[cmd]
     cfg = {dest: default for dest, (_, default, _) in spec.items()}
     if args.config:
-        for k, v in _read_config(args.config).items():
+        try:
+            kv = _build(read_key_values, args.config)
+        except OSError as e:
+            raise ConfigError(f"cannot read config file: {e}") from None
+        for k, v in kv.items():
+            k = k.replace("-", "_")
             if k not in spec:
                 raise ConfigError(f"unknown config key {k!r} for {cmd}")
             cfg[k] = _coerce(spec[k][0], v, f"{k!r} in {args.config}")
@@ -272,7 +260,7 @@ def cmd_simulate(cfg: dict) -> int:
                            str(res.frames), str(res.frame_errors), str(res.bit_errors)]
                           + [f"{x:.6g}" for x in (res.fer, *res.fer_ci, res.ber, *res.ber_ci)])
                  + "\n")
-    man.json_write(Path(f"{cfg['out']}.json"), res.to_dict())
+    man.json_write(Path(f"{cfg['out']}.json"), dataclasses.asdict(res))
     man.close()
     return 0
 
@@ -284,29 +272,17 @@ def cmd_predict(cfg: dict) -> int:
         raise ConfigError(f"cannot read job file: {e}") from None
     except ValueError as e:
         raise ConfigError(f"bad job file: {e}") from None
-    edits = {}
-    if cfg["stats_source"] is not None:
-        edits["source"] = cfg["stats_source"]
+    edits = {"source": cfg["stats_source"], "horizon": cfg["horizon"],
+             "inversion_iters": cfg["inversion_iters"], "snr_grid": cfg["snr"]}
+    edits = {k: v for k, v in edits.items() if v is not None}
     if cfg["sat"] != "keep":
         edits["saturation"] = cfg["sat"]
-    if cfg["horizon"] is not None:
-        edits["horizon"] = cfg["horizon"]
-    if cfg["inversion_iters"] is not None:
-        edits["inversion_iters"] = cfg["inversion_iters"]
-    if cfg["snr"] is not None:
-        edits["snr"] = cfg["snr"]
-    if "snr" in edits:
-        edits["snr_grid"] = edits.pop("snr")
-    if edits:
-        job = dataclasses.replace(job, **edits)
-    try:
-        report = predict_curve(job, cache_dir=cfg["cache_dir"], workers=cfg["workers"])
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    job = _build(dataclasses.replace, job, **edits)
+    report = _build(predict_curve, job, cache_dir=cfg["cache_dir"], workers=cfg["workers"])
     man = _Manifest("predict", {**cfg, "code_id": job.code_id}, cfg["out"])
     with man.csv_open(Path(f"{cfg['out']}.csv")) as fh:
         report.to_csv(fh)
-    man.json_write(Path(f"{cfg['out']}.json"), json.loads(report.to_json()))
+    man.json_write(Path(f"{cfg['out']}.json"), report.to_dict())
     man.close()
     return 0
 
@@ -370,7 +346,7 @@ def cmd_richardson(cfg: dict) -> int:
         seed=cfg["seed"],
         refine_rounds=cfg["refine"],
     )
-    est = semi_analytic_floor(H, chan, dec, sa, workers=cfg["workers"])
+    est = _build(semi_analytic_floor, H, chan, dec, sa, workers=cfg["workers"])
     man = _Manifest("richardson", cfg, cfg["out"])
     man.json_write(Path(f"{cfg['out']}.json"), est.to_dict())
     man.close()

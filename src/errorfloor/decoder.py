@@ -402,11 +402,7 @@ class BatchResult:
     iterations: np.ndarray  # [F] int32
     failed: np.ndarray      # [F, n] bool, not eventually correct
     soft: np.ndarray        # [F, n] float, soft values at exit
-    state_v2c: np.ndarray | None = None
-    state_idx: np.ndarray | None = None
-
-    def failed_sets(self):
-        return [np.flatnonzero(row) for row in self.failed]
+    state_v2c: np.ndarray | None = None  # [F, E] messages after the last iteration
 
 
 def _unclamped_v2c(soft, c2v, ch, lay: _Layout) -> np.ndarray:
@@ -433,26 +429,24 @@ def decode_batch(
     H: ParityCheckMatrix,
     llrs: np.ndarray,
     cfg: DecoderConfig,
-    reference=None,
     capture: CaptureAccumulator | None = None,
     init_v2c: np.ndarray | None = None,
     return_state: bool = False,
 ) -> BatchResult:
     """Decode many frames at once; frames that satisfy all checks leave
-    the batch early unless a capture hook needs every iteration.
+    the batch early unless a capture hook or `return_state` needs every
+    iteration.
 
-    `reference` is the transmitted hard word (defaults to all-zero) used
-    for the eventually-correct bookkeeping: a non-converged frame's
-    failed set collects symbols wrong anywhere in the trailing
-    `cfg.ec_window` iterations, a converged frame's the symbols wrong at
-    exit.
+    The all-zero word is the transmitted one.  A non-converged frame's
+    failed set (not eventually correct) collects symbols wrong anywhere
+    in the trailing `cfg.ec_window` iterations, a converged frame's the
+    symbols wrong at exit.
     """
     llrs = np.atleast_2d(np.asarray(llrs, dtype=float))
     F, n = llrs.shape
     if n != H.n_vars:
         raise ValueError("LLR width does not match the code length")
     lay = _layout(H)
-    ref = np.zeros(n, dtype=np.uint8) if reference is None else np.asarray(reference, dtype=np.uint8)
 
     early = cfg.early_stop and capture is None and not return_state
 
@@ -489,8 +483,8 @@ def decode_batch(
         else:
             v2c = np.take(soft, lay.edge_var, axis=1) - c2v
 
-        hard = (soft < 0).astype(np.uint8)
-        wrong = hard != ref
+        wrong = soft < 0
+        hard = wrong.astype(np.uint8)
         np.maximum(last_wrong, np.multiply(wrong, it, dtype=np.int32), out=last_wrong)
 
         parity = np.bitwise_xor.reduce(_gather(hard, lay.chk_var, 0, lay.chk_padded), axis=1)
@@ -527,14 +521,13 @@ def decode_batch(
     failed_out[idx] = np.where(conv_now[:, None], wrong, last_wrong >= max(lo, 1)) if not early \
         else last_wrong >= max(lo, 1)
 
-    state_v2c = v2c if return_state else None
-    state_idx = idx.copy() if return_state else None
-    return BatchResult(hard_out, conv_out, iters_out, failed_out, soft_out, state_v2c, state_idx)
+    return BatchResult(hard_out, conv_out, iters_out, failed_out, soft_out,
+                       v2c if return_state else None)
 
 
-def decode(H: ParityCheckMatrix, llr, cfg: DecoderConfig, reference=None) -> DecodeResult:
+def decode(H: ParityCheckMatrix, llr, cfg: DecoderConfig) -> DecodeResult:
     """Decode a single frame; see decode_batch for the semantics."""
-    res = decode_batch(H, np.asarray(llr, dtype=float)[None, :], cfg, reference=reference)
+    res = decode_batch(H, np.asarray(llr, dtype=float)[None, :], cfg)
     return DecodeResult(
         hard=res.hard[0],
         converged=bool(res.converged[0]),

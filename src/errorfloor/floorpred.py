@@ -13,13 +13,12 @@ import hashlib
 import json
 import os
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .channel import ChannelConfig, frame_rng
+from .channel import ChannelConfig, frame_rng, ordered_map, sample_llrs
 from .dde import DEFAULT_HALF_BINS, DEFAULT_STEP, dde_run
 from .decoder import DecoderConfig, run_capture
 from .statespace import (
@@ -70,6 +69,8 @@ class PredictionJob:
             raise ValueError(f"unknown stats source {self.source!r}")
         if self.horizon < 1:
             raise ValueError("horizon must be positive")
+        if self.capture_frames < 1:
+            raise ValueError("capture_frames must be at least 1")
         if not self.code_id:
             object.__setattr__(self, "code_id", code_digest(self.H))
 
@@ -110,21 +111,15 @@ def stats_from_capture(
     all-zero-codeword frames."""
     if n_iters < 1:
         raise ValueError(f"n_iters must be at least 1, got {n_iters}")
+    if n_frames < 1 or batch_size < 1:
+        raise ValueError("n_frames and batch_size must be at least 1")
     dec = DecoderConfig(mode=mode, max_iters=n_iters, saturation=saturation)
     d_c = _check_degree(H)
-
-    def batches():
-        left = n_frames
-        b = 0
-        while left > 0:
-            take = min(batch_size, left)
-            rng = frame_rng(seed, b)
-            noise = rng.normal(0.0, cfg.sigma, size=(take, H.n_vars))
-            yield cfg.llr_scale * (1.0 + noise)
-            left -= take
-            b += 1
-
-    rows = run_capture(H, batches(), dec, d_c)
+    batches = (
+        sample_llrs(cfg, frame_rng(seed, b), (min(batch_size, n_frames - start), H.n_vars))
+        for b, start in enumerate(range(0, n_frames, batch_size))
+    )
+    rows = run_capture(H, batches, dec, d_c)
     return InputStats(
         "spa",
         d_c,
@@ -210,37 +205,23 @@ class PredictionReport:
     ber: np.ndarray
     breakdown: list  # list (per SNR) of lists of SetPrediction
 
+    def to_dict(self) -> dict:
+        def row(p: SetPrediction) -> dict:
+            d = asdict(p)
+            return {"set": d.pop("set_index"), **d, "fer_contribution": p.fer_contribution}
+
+        return {
+            "schema": "floor-prediction v1",
+            "job": self.job_echo,
+            "curve": [
+                {"ebn0_db": float(s), "fer_bound": float(f), "ber_bound": float(b)}
+                for s, f, b in zip(self.snr_grid, self.fer, self.ber)
+            ],
+            "breakdown": [[row(p) for p in rows] for rows in self.breakdown],
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "schema": "floor-prediction v1",
-                "job": self.job_echo,
-                "curve": [
-                    {"ebn0_db": float(s), "fer_bound": float(f), "ber_bound": float(b)}
-                    for s, f, b in zip(self.snr_grid, self.fer, self.ber)
-                ],
-                "breakdown": [
-                    [
-                        {
-                            "set": p.set_index,
-                            "a": p.a,
-                            "b": p.b,
-                            "r": p.r,
-                            "h": p.h,
-                            "horizon": p.horizon,
-                            "mean": p.mean,
-                            "var": p.var,
-                            "p_fail": p.p_fail,
-                            "multiplicity": p.multiplicity,
-                            "fer_contribution": p.fer_contribution,
-                        }
-                        for p in rows
-                    ]
-                    for rows in self.breakdown
-                ],
-            },
-            indent=2,
-        )
+        return json.dumps(self.to_dict(), indent=2)
 
     def to_csv(self, fh) -> None:
         w = csv.writer(fh)
@@ -322,11 +303,7 @@ def predict_curve(job: PredictionJob, cache_dir=None, workers: int = 1) -> Predi
         raise ValueError("prediction requires a variable-regular code")
     d_v = int(vd[0])
     tasks = [(job, float(s), d_v, cache_dir) for s in job.snr_grid]
-    if workers == 1 or len(tasks) == 1:
-        outs = [_curve_point(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outs = list(pool.map(_curve_point, tasks))
+    outs = list(ordered_map(_curve_point, tasks, workers))
     echo = {
         "code_id": job.code_id,
         "n": job.H.n_vars,
@@ -351,9 +328,9 @@ def predict_curve(job: PredictionJob, cache_dir=None, workers: int = 1) -> Predi
     )
 
 
-def load_job(path) -> PredictionJob:
-    """Flat key-value job file; relative paths resolve against the file."""
-    base = Path(path).parent
+def read_key_values(path) -> dict:
+    """Flat `key = value` lines of a job or config file; `#` starts a
+    comment and blank lines are skipped."""
     kv = {}
     with open(path) as fh:
         for raw in fh:
@@ -361,9 +338,16 @@ def load_job(path) -> PredictionJob:
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"expected 'key = value', got {line!r}")
+                raise ValueError(f"expected 'key = value' in {path}, got {line!r}")
             k, v = line.split("=", 1)
             kv[k.strip()] = v.strip()
+    return kv
+
+
+def load_job(path) -> PredictionJob:
+    """Flat key-value job file; relative paths resolve against the file."""
+    base = Path(path).parent
+    kv = read_key_values(path)
     try:
         H = load_alist(base / kv["code"])
         sets = tuple(tuple(map(int, s)) for s in load_trapping_sets(base / kv["sets"]))

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from contextlib import closing
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.special import ndtr
 
-from .channel import ChannelConfig, frame_rng
+from .channel import ChannelConfig, frame_rng, ordered_map, sample_llrs
 from .decoder import DecoderConfig, decode_batch
 from .tanner import ParityCheckMatrix, classify, induce
 
@@ -52,8 +52,6 @@ class McConfig:
     seed: int = 0
     workers: int = 1
     batch_size: int = 256
-    log_failures: bool = True
-    ec_window: int | None = None  # overrides the decoder's trailing window
 
     def __post_init__(self):
         if self.max_frames < 1 or self.batch_size < 1 or self.workers < 1:
@@ -85,40 +83,12 @@ class McResult:
     ber: float
     fer_ci: tuple
     ber_ci: tuple
-    failures: list
-
-    def to_dict(self) -> dict:
-        return {
-            "frames": self.frames,
-            "frame_errors": self.frame_errors,
-            "bit_errors": self.bit_errors,
-            "n": self.n,
-            "fer": self.fer,
-            "ber": self.ber,
-            "fer_ci": list(self.fer_ci),
-            "ber_ci": list(self.ber_ci),
-            "failures": [
-                {
-                    "frame": f.frame,
-                    "iterations": f.iterations,
-                    "failed_set": list(f.failed_set),
-                    "a": f.a,
-                    "b": f.b,
-                    "elementary": f.elementary,
-                    "absorbing": f.absorbing,
-                    "fully_absorbing": f.fully_absorbing,
-                    "codeword": f.codeword,
-                }
-                for f in self.failures
-            ],
-        }
+    failures: list  # of FailureRecord
 
 
 def _sim_batch(args):
     H, cfg, dec, seed, batch_idx, batch_size = args
-    rng = frame_rng(seed, batch_idx)
-    noise = rng.normal(0.0, cfg.sigma, size=(batch_size, H.n_vars))
-    llrs = cfg.llr_scale * (1.0 + noise)
+    llrs = sample_llrs(cfg, frame_rng(seed, batch_idx), (batch_size, H.n_vars))
     res = decode_batch(H, llrs, dec)
     err_rows = np.flatnonzero(res.failed.any(axis=1))
     bit_errors = int(res.hard.sum())
@@ -143,9 +113,9 @@ def run_monte_carlo(
     H: ParityCheckMatrix, cfg: ChannelConfig, dec: DecoderConfig, mc: McConfig
 ) -> McResult:
     """All-zero-codeword simulation with Wilson intervals and a failure
-    log holding each frame's not-eventually-correct set and its (a, b)."""
-    if mc.ec_window is not None:
-        dec = replace(dec, ec_window=mc.ec_window)
+    log holding each frame's not-eventually-correct set and its (a, b).
+    Batches are aggregated in order, so the stopping point does not
+    depend on the worker count."""
     vd = H.var_degrees
     d_v = int(vd[0]) if len(vd) and np.all(vd == vd[0]) else None
 
@@ -155,38 +125,17 @@ def run_monte_carlo(
 
     frames = frame_errors = bit_errors = 0
     failures = []
-
-    def consume(batch_idx, out):
-        nonlocal frames, frame_errors, bit_errors
-        bsize, errs, berrs, log = out
-        base = batch_idx * mc.batch_size
-        frames += bsize
-        frame_errors += errs
-        bit_errors += berrs
-        if mc.log_failures:
-            for local, iters, fset in log:
-                failures.append(_classify_failure(H, base + local, iters, fset, d_v))
-        return mc.target_errors is not None and frame_errors >= mc.target_errors
-
-    if mc.workers == 1:
-        for i, t in enumerate(tasks):
-            if consume(i, _sim_batch(t)):
+    with closing(ordered_map(_sim_batch, tasks, mc.workers)) as outs:
+        for i, (bsize, errs, berrs, log) in enumerate(outs):
+            frames += bsize
+            frame_errors += errs
+            bit_errors += berrs
+            failures.extend(
+                _classify_failure(H, i * mc.batch_size + local, iters, fset, d_v)
+                for local, iters, fset in log
+            )
+            if mc.target_errors is not None and frame_errors >= mc.target_errors:
                 break
-    else:
-        # aggregate in batch order so the stopping point is worker-invariant
-        with ProcessPoolExecutor(max_workers=mc.workers) as pool:
-            window = 4 * mc.workers
-            pending = {i: pool.submit(_sim_batch, tasks[i]) for i in range(min(window, n_batches))}
-            nxt = len(pending)
-            for i in range(n_batches):
-                out = pending.pop(i).result()
-                if nxt < n_batches:
-                    pending[nxt] = pool.submit(_sim_batch, tasks[nxt])
-                    nxt += 1
-                if consume(i, out):
-                    for fut in pending.values():
-                        fut.cancel()
-                    break
 
     total_bits = frames * H.n_vars
     return McResult(
@@ -220,27 +169,21 @@ def _equal_support_rotation(a: int) -> np.ndarray:
 
 
 def _rotated_noise(T, s, cfg, rng, n, n_frames):
+    """LLR frames whose mean noise over T is pinned at s.
+
+    The T block of the noise is Q u with u[0] = s*sqrt(a) fixed and the
+    other a-1 rotated coordinates i.i.d. N(0, sigma^2); off-T noise is
+    untouched channel noise.
+    """
     T = np.asarray(T, dtype=np.int64)
     a = T.size
-    noise = rng.normal(0.0, cfg.sigma, size=(n_frames, n))
+    llrs = sample_llrs(cfg, rng, (n_frames, n))
     u = np.empty((n_frames, a))
     u[:, 0] = s * math.sqrt(a)
     if a > 1:
         u[:, 1:] = rng.normal(0.0, cfg.sigma, size=(n_frames, a - 1))
-    noise[:, T] = u @ _equal_support_rotation(a).T
-    return cfg.llr_scale * (1.0 + noise)
-
-
-def rotated_noise_frame(T, s: float, cfg: ChannelConfig, rng, n: int) -> np.ndarray:
-    """One LLR frame whose mean noise over T is pinned at s.
-
-    The T block is Q u with u[0] = s*sqrt(a) fixed and the other a-1
-    rotated coordinates i.i.d. N(0, sigma^2); off-T noise is untouched
-    channel noise.
-    """
-    if len(T) < 1:
-        raise ValueError("need a non-empty trapping set")
-    return _rotated_noise(T, s, cfg, rng, n, 1)[0]
+    llrs[:, T] = cfg.llr_scale * (1.0 + u @ _equal_support_rotation(a).T)
+    return llrs
 
 
 @dataclass(frozen=True)
@@ -271,6 +214,10 @@ class SemiAnalyticConfig:
             raise ValueError(f"unknown classification mode {self.mode!r}")
         if self.sat_iters < 1 or self.ec_window < 1:
             raise ValueError("sat_iters and ec_window must be at least 1")
+        if min(self.frames_per_point, self.batch_size, self.target_failures) < 1:
+            raise ValueError("frames_per_point, batch_size and target_failures must be at least 1")
+        if self.refine_rounds < 0:
+            raise ValueError("refine_rounds must be at least 0")
 
 
 @dataclass(frozen=True)
@@ -312,6 +259,8 @@ def conditional_failure(
     matches on their trailing `ec_window`.
     """
     T = tuple(sorted(int(v) for v in T))
+    if not T:
+        raise ValueError("need a non-empty trapping set")
     mask = np.zeros(H.n_vars, dtype=bool)
     mask[list(T)] = True
     if mode not in ("exact-match", "saturation-phase"):
@@ -399,21 +348,7 @@ class FloorEstimate:
     notes: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "ci": list(self.ci),
-            "s_grid": [float(x) for x in self.s_grid],
-            "cond": [float(x) for x in self.cond],
-            "cond_lo": [float(x) for x in self.cond_lo],
-            "cond_hi": [float(x) for x in self.cond_hi],
-            "frames": [int(x) for x in self.frames],
-            "a": self.a,
-            "ebn0_db": self.ebn0_db,
-            "rate": self.rate,
-            "mode": self.mode,
-            "extrapolated_from": self.extrapolated_from,
-            "notes": list(self.notes),
-        }
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in asdict(self).items()}
 
 
 def _point_eval(args):
@@ -451,12 +386,7 @@ def semi_analytic_floor(
 
     def eval_points(batch):
         tasks = [(H, cfg, dec, sa, s, i) for s, i in batch]
-        if workers == 1 or len(tasks) == 1:
-            outs = [_point_eval(t) for t in tasks]
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                outs = list(pool.map(_point_eval, tasks))
-        for (s, _), est in zip(batch, outs):
+        for est, (s, _) in zip(ordered_map(_point_eval, tasks, workers), batch):
             estimates[s] = est
 
     eval_points(points)

@@ -18,9 +18,8 @@ from errorfloor.census import generate_classes, emit_table, spectrum_of
 from errorfloor.channel import (
     ChannelConfig,
     frame_rng,
-    llr_from_symbol,
     qfunc,
-    sample_noise_frame,
+    sample_llrs,
 )
 from errorfloor.decoder import DecoderConfig, check_update_exact, check_update_pairwise
 from errorfloor.dde import (
@@ -317,7 +316,7 @@ def test_criterion_08_codeword_closed_form():
 def test_criterion_09_channel_moments():
     assert CFG28.mean_llr == pytest.approx(3.8109, abs=1e-4)
     rng = frame_rng(42)
-    llrs = llr_from_symbol(CFG28, 1.0 + sample_noise_frame(CFG28, 1_000_000, rng))
+    llrs = sample_llrs(CFG28, rng, 1_000_000)
     mean, var = llrs.mean(), llrs.var()
     assert mean == pytest.approx(CFG28.mean_llr, rel=0.01)
     assert var == pytest.approx(2.0 * mean, rel=0.01)

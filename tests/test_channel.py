@@ -10,8 +10,9 @@ from errorfloor.channel import (
     ChannelConfig,
     frame_rng,
     llr_from_symbol,
+    ordered_map,
     qfunc,
-    sample_noise_frame,
+    sample_llrs,
     uncoded_error_prob,
 )
 
@@ -55,7 +56,7 @@ def test_llr_from_symbol_affine(ebn0_db, rate):
 def test_llr_sample_moments():
     cfg = ChannelConfig(2.8, 0.5)
     rng = frame_rng(7, 0)
-    llr = llr_from_symbol(cfg, 1.0 + sample_noise_frame(cfg, 200_000, rng))
+    llr = sample_llrs(cfg, rng, 200_000)
     assert llr.mean() == pytest.approx(cfg.mean_llr, rel=0.02)
     assert llr.var() == pytest.approx(2 * cfg.mean_llr, rel=0.02)
 
@@ -66,6 +67,31 @@ def test_frame_rng_reproducible():
     c = frame_rng(3, 6).normal(size=8)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_sample_llrs_batch_equals_row_draws():
+    cfg = ChannelConfig(2.8, 0.5)
+    rng = frame_rng(2, 1)
+    rows = np.stack([sample_llrs(cfg, rng, 48) for _ in range(5)])
+    assert np.array_equal(sample_llrs(cfg, frame_rng(2, 1), (5, 48)), rows)
+
+
+def _square(x):
+    return x * x
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ordered_map_keeps_task_order(workers):
+    tasks = list(range(20))  # more than the 4 * workers in-flight window
+    assert list(ordered_map(_square, tasks, workers)) == [x * x for x in tasks]
+    assert list(ordered_map(_square, [], workers)) == []
+
+
+def test_ordered_map_rejects_workers_below_one():
+    calls = []
+    with pytest.raises(ValueError, match="workers"):
+        next(ordered_map(calls.append, [1, 2], 0))
+    assert calls == []
 
 
 def test_uncoded_error_prob():

@@ -173,6 +173,95 @@ def test_enumerate_rejects_degenerate_sizes(tmp_path, capsys):
     assert rows == ["3,0,1,3,1,1", "4,0,1,4,1,1"]  # the cycles
 
 
+def test_predict_overrides_failing_job_validation_exit_2(tmp_path, planted_alist, capsys):
+    # these used to exit 3: the overrides were applied outside the
+    # configuration-error mapping
+    (tmp_path / "sets.txt").write_text("0 1 2 3\n")
+    (tmp_path / "job.cfg").write_text(
+        f"code = {planted_alist}\nsets = sets.txt\nsnr = 2.6\nhorizon = 2\n"
+    )
+    for flags in (["--stats-source", "foo"], ["--horizon", "0"], ["--snr", "3,2"],
+                  ["--workers", "0"]):
+        assert main(["predict", "--job", "job.cfg", *flags, "--out", "p"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "runtime" not in err
+        assert not (tmp_path / "p.json").exists()
+    (tmp_path / "job.cfg").write_text(
+        f"code = {planted_alist}\nsets = sets.txt\nsnr = 2.6\ncapture_frames = 0\n"
+    )
+    assert main(["predict", "--job", "job.cfg", "--out", "p"]) == 2
+    assert "capture_frames" in capsys.readouterr().err
+
+
+def test_richardson_rejects_degenerate_run_sizes(tmp_path, alist, capsys):
+    # --frames-per-point 0 exited 0 with a floor of 0.0 from zero frames,
+    # --target-failures 0 stopped each point after one batch, and
+    # --workers 0 exited 3
+    (tmp_path / "sets.txt").write_text("0 1 2 3\n")
+    base = ["richardson", "--alist", alist, "--set", "sets.txt", "--ebn0", "2.4",
+            "--s-points", "2", "--s-lo", "-1.5", "--s-hi", "-1.0",
+            "--frames-per-point", "16", "--refine", "0", "--out", "r"]
+    for flags, msg in ((["--frames-per-point", "0"], "at least 1"),
+                       (["--target-failures", "0"], "at least 1"),
+                       (["--refine", "-1"], "at least 0"),
+                       (["--workers", "0"], "workers")):
+        assert main(base + flags) == 2
+        assert msg in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+
+def test_stats_spa_rejects_frame_counts_below_one(tmp_path, alist, capsys):
+    # --frames 0 used to exit 0 with a header-only stats CSV
+    for frames in ("0", "-4"):
+        assert main(["stats", "--source", "spa", "--alist", alist, "--ebn0", "2.8",
+                     "--iters", "3", "--frames", frames, "--out", "s"]) == 2
+        assert "at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
+
+def test_simulate_json_key_order(tmp_path, alist):
+    # the key order is the output format; a new result field must show up here
+    assert main(["simulate", "--alist", alist, "--ebn0", "0.5", "--frames", "64",
+                 "--batch-size", "64", "--seed", "1", "--out", "sim"]) == 0
+    doc = json.loads((tmp_path / "sim.json").read_text())
+    assert list(doc) == ["manifest", "frames", "frame_errors", "bit_errors", "n", "fer", "ber",
+                         "fer_ci", "ber_ci", "failures"]
+    assert doc["failures"]
+    for row in doc["failures"]:
+        assert list(row) == ["frame", "iterations", "failed_set", "a", "b", "elementary",
+                             "absorbing", "fully_absorbing", "codeword"]
+
+
+def test_richardson_json_key_order(tmp_path, planted_alist):
+    (tmp_path / "sets.txt").write_text("0 1 2 3\n")
+    assert main(["richardson", "--alist", planted_alist, "--set", "sets.txt", "--ebn0", "2.4",
+                 "--s-points", "2", "--s-lo", "-2.2", "--s-hi", "-1.0",
+                 "--frames-per-point", "32", "--refine", "0", "--max-iters", "10",
+                 "--out", "r"]) == 0
+    doc = json.loads((tmp_path / "r.json").read_text())
+    assert list(doc) == ["manifest", "value", "ci", "s_grid", "cond", "cond_lo", "cond_hi",
+                         "frames", "a", "ebn0_db", "rate", "mode", "extrapolated_from", "notes"]
+
+
+def test_predict_json_key_order(tmp_path, planted_alist):
+    (tmp_path / "sets.txt").write_text("0 1 2 3\n")
+    (tmp_path / "job.cfg").write_text(
+        f"code = {planted_alist}\nsets = sets.txt\nsnr = 2.6 3.0\nhorizon = 2\n"
+    )
+    assert main(["predict", "--job", "job.cfg", "--out", "p"]) == 0
+    doc = json.loads((tmp_path / "p.json").read_text())
+    assert list(doc) == ["manifest", "schema", "job", "curve", "breakdown"]
+    assert list(doc["job"]) == ["code_id", "n", "sets", "multiplicities", "snr_grid", "rate",
+                                "source", "saturation", "horizon", "inversion_iters", "mode",
+                                "capture_frames", "capture_seed"]
+    assert len(doc["curve"]) == len(doc["breakdown"]) == 2
+    for point, rows in zip(doc["curve"], doc["breakdown"]):
+        assert list(point) == ["ebn0_db", "fer_bound", "ber_bound"]
+        for row in rows:
+            assert list(row) == ["set", "a", "b", "r", "h", "horizon", "mean", "var", "p_fail",
+                                 "multiplicity", "fer_contribution"]
+
+
 def test_runtime_errors_exit_3(tmp_path, alist, capsys):
     # spa capture keeps iterating past convergence, so an unsaturated
     # exact-tanh run walks into the rounding range and trips the guard

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from errorfloor.channel import ChannelConfig, frame_rng, llr_from_symbol, sample_noise_frame
+from errorfloor.channel import ChannelConfig, frame_rng, sample_llrs
 from errorfloor.decoder import (
     DecoderConfig,
     NonFiniteMessageError,
@@ -105,9 +105,7 @@ def code():
 
 
 def clean_llrs(code, cfg, n_frames, seed=0):
-    rng = frame_rng(seed, 0)
-    noise = np.stack([sample_noise_frame(cfg, code.n_vars, rng) for _ in range(n_frames)])
-    return llr_from_symbol(cfg, 1.0 + noise)
+    return sample_llrs(cfg, frame_rng(seed, 0), (n_frames, code.n_vars))
 
 
 def test_decode_noiseless(code):

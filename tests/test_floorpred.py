@@ -84,6 +84,8 @@ def test_job_validation(code):
         PredictionJob(H=code, sets=((0,),), snr_grid=(2.0,), rate=0.5, source="x")
     with pytest.raises(ValueError):
         PredictionJob(H=code, sets=((0,),), snr_grid=(2.0,), rate=0.5, horizon=0)
+    with pytest.raises(ValueError, match="capture_frames"):
+        PredictionJob(H=code, sets=((0,),), snr_grid=(2.0,), rate=0.5, capture_frames=0)
 
 
 def test_predict_curve_cache_round_trip(job, tmp_path):
@@ -97,6 +99,16 @@ def test_predict_curve_cache_round_trip(job, tmp_path):
     np.testing.assert_array_equal(warm.fer, cold.fer)
     assert np.all(np.diff(cold.fer) < 0)  # floor falls with SNR
     assert np.all(cold.ber <= cold.fer)
+
+
+def test_predict_curve_worker_invariance(job):
+    one = predict_curve(job, workers=1)
+    assert predict_curve(job, workers=2).to_json() == one.to_json()
+    spa = PredictionJob(H=job.H, sets=job.sets, snr_grid=(2.6, 2.8, 3.0), rate=0.5,
+                        horizon=3, source="spa", capture_frames=30, capture_seed=2)
+    assert predict_curve(spa, workers=2).to_json() == predict_curve(spa, workers=1).to_json()
+    with pytest.raises(ValueError, match="workers"):
+        predict_curve(job, workers=0)
 
 
 def test_cache_env_variable(job, tmp_path, monkeypatch):
@@ -190,3 +202,10 @@ def test_stats_from_capture_smoke(code):
     assert np.all(stats.var_ex >= 0)
     again = stats_from_capture(code, cfg, n_iters=4, saturation=25.0, n_frames=20, seed=1)
     np.testing.assert_array_equal(again.m_ex, stats.m_ex)
+
+
+@pytest.mark.parametrize("kw", [{"n_frames": 0}, {"n_frames": -5}, {"batch_size": 0}])
+def test_stats_from_capture_rejects_empty_runs(code, kw):
+    # n_frames 0 used to return statistics with no iterations
+    with pytest.raises(ValueError, match="at least 1"):
+        stats_from_capture(code, ChannelConfig(2.0, 0.5), n_iters=4, saturation=25.0, **kw)

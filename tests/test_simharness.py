@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -15,10 +16,10 @@ from errorfloor.simharness import (
     GridCoverageWarning,
     McConfig,
     SemiAnalyticConfig,
+    _rotated_noise,
     conditional_failure,
     extrapolate_floor,
     integrate_floor,
-    rotated_noise_frame,
     run_monte_carlo,
     semi_analytic_floor,
     wilson_interval,
@@ -45,7 +46,7 @@ def test_rotated_noise_mean_and_margins():
     a = len(T)
     s = -1.3
     rng = frame_rng(0)
-    frames = np.stack([rotated_noise_frame(T, s, CFG, rng, 24) for _ in range(20_000)])
+    frames = np.stack([_rotated_noise(T, s, CFG, rng, 24, 1)[0] for _ in range(20_000)])
     on = frames[:, list(T)]
     off = np.delete(frames, list(T), axis=1)
     # the set-average noise is pinned at s, per frame, in LLR units
@@ -62,10 +63,11 @@ def test_rotated_noise_mean_and_margins():
 
 def test_rotated_noise_single_variable_pins_exactly():
     rng = frame_rng(1)
-    f = rotated_noise_frame((4,), -0.9, CFG, rng, 10)
+    f = _rotated_noise((4,), -0.9, CFG, rng, 10, 1)[0]
     assert f[4] == pytest.approx(CFG.llr_scale * 0.1, abs=1e-12)
-    with pytest.raises(ValueError):
-        rotated_noise_frame((), -0.9, CFG, rng, 10)
+    H = ParityCheckMatrix([[0, 1], [1, 2]], 3)
+    with pytest.raises(ValueError, match="non-empty"):
+        conditional_failure(H, (), -0.9, 10, CFG, DecoderConfig(max_iters=5))
 
 
 def test_integrate_floor_saturated_curve():
@@ -122,12 +124,21 @@ def test_monte_carlo_worker_invariance(small_code):
 
 def test_monte_carlo_target_errors_stops_early(small_code):
     dec = DecoderConfig(mode="pairwise", max_iters=30)
-    res = run_monte_carlo(
-        small_code, ChannelConfig(0.5, 0.5), dec,
-        McConfig(max_frames=50_000, target_errors=20, seed=1, batch_size=128),
-    )
-    assert res.frame_errors >= 20
-    assert res.frames < 50_000
+    # 2.5 dB in 32-frame batches stops at the fifth batch, with batches
+    # still pending in the two-worker pool's window
+    for ebn0, batch_size, stop in ((0.5, 128, 128), (2.5, 32, 160)):
+        res = [
+            run_monte_carlo(
+                small_code, ChannelConfig(ebn0, 0.5), dec,
+                McConfig(max_frames=50_000, target_errors=20, seed=1, batch_size=batch_size,
+                         workers=workers),
+            )
+            for workers in (1, 2)
+        ]
+        assert res[0].frame_errors >= 20
+        assert res[0].frames == stop
+        # batches are aggregated in order, so both worker counts stop at the same frame
+        assert asdict(res[1]) == asdict(res[0])
 
 
 def test_semi_analytic_config_validation():
@@ -139,6 +150,17 @@ def test_semi_analytic_config_validation():
         SemiAnalyticConfig(trap_set=(0, 1), s_grid=(-1.0, 0.5))
     with pytest.raises(ValueError):
         SemiAnalyticConfig(trap_set=(0, 1), mode="bogus")
+
+
+@pytest.mark.parametrize("kw", [
+    {"frames_per_point": 0}, {"batch_size": 0}, {"target_failures": 0},
+    {"target_failures": -1}, {"refine_rounds": -1},
+])
+def test_semi_analytic_config_rejects_degenerate_run_sizes(kw):
+    # frames_per_point 0 used to yield a floor of 0.0 from zero frames and
+    # target_failures 0 stopped every grid point after one batch
+    with pytest.raises(ValueError, match="at least"):
+        SemiAnalyticConfig(trap_set=(0, 1), **kw)
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +206,20 @@ def test_semi_analytic_refine_grows_grid(planted_code):
     assert est.value > 0
     assert est.ci[0] <= est.value <= est.ci[1]
     assert np.all(np.diff(ref.s_grid) > 0)
+
+
+def test_semi_analytic_worker_invariance(planted_code):
+    dec = DecoderConfig(mode="pairwise", max_iters=20, saturation=25.0)
+    sa = SemiAnalyticConfig(
+        trap_set=(0, 1, 2, 3), s_grid=tuple(np.linspace(-2.4, -0.6, 4)),
+        frames_per_point=300, target_failures=20, seed=4, batch_size=128, refine_rounds=2,
+    )
+    one = semi_analytic_floor(planted_code, CFG, dec, sa, workers=1)
+    two = semi_analytic_floor(planted_code, CFG, dec, sa, workers=2)
+    assert len(one.s_grid) == 6
+    assert two.to_dict() == one.to_dict()
+    with pytest.raises(ValueError, match="workers"):
+        semi_analytic_floor(planted_code, CFG, dec, sa, workers=0)
 
 
 def test_extrapolate_floor_behaviour():
