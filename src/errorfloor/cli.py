@@ -326,6 +326,8 @@ def cmd_richardson(cfg: dict) -> int:
     T = tuple(int(v) for v in sets[0])
     if any(v < 0 or v >= H.n_vars for v in T):
         raise ConfigError("set references variables outside the code")
+    if cfg["s_points"] < 1:
+        raise ConfigError(f"--s-points must be at least 1, got {cfg['s_points']}")
     chan = _build(ChannelConfig, cfg["ebn0"], _rate_of(cfg["rate"], H))
     nonsat = cfg["mode"] == "saturation-phase"
     dec = _build(

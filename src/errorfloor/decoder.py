@@ -425,6 +425,21 @@ def _unclamped_v2c(soft, c2v, ch, lay: _Layout) -> np.ndarray:
     return v2c
 
 
+def _fixed_rows(soft, prev_soft, v2c, prev_v2c) -> np.ndarray:
+    """Rows whose messages repeat the previous iteration's bit for bit.
+
+    Bit patterns, not `==`: -0.0 and +0.0 compare equal but carry
+    different sign bits into the check kernel.  Only rows whose soft
+    values also repeat (an [F, n] compare) get the [F, E] message compare;
+    a row whose messages repeat has equal soft values one iteration later.
+    """
+    same = (soft.view(np.int64) == prev_soft.view(np.int64)).all(axis=1)
+    rows = np.flatnonzero(same)
+    if rows.size:
+        same[rows] = (v2c[rows].view(np.int64) == prev_v2c[rows].view(np.int64)).all(axis=1)
+    return same
+
+
 def decode_batch(
     H: ParityCheckMatrix,
     llrs: np.ndarray,
@@ -436,6 +451,11 @@ def decode_batch(
     """Decode many frames at once; frames that satisfy all checks leave
     the batch early unless a capture hook or `return_state` needs every
     iteration.
+
+    Under the same condition a frame whose messages repeat the previous
+    iteration's bit for bit (a decoder locked on a trapping set) leaves
+    too: every later iteration would repeat that one, so its outputs are
+    those of the full `cfg.max_iters` run, not converged.
 
     The all-zero word is the transmitted one.  A non-converged frame's
     failed set (not eventually correct) collects symbols wrong anywhere
@@ -464,6 +484,8 @@ def decode_batch(
     work = _Workspace(lay, F)
 
     sat = cfg.saturation
+    lo = max(cfg.max_iters - cfg.ec_window + 1, 1)  # start of the trailing window
+    soft = None
     for it in range(1, cfg.max_iters + 1):
         if capture is not None:
             capture.pre_check(it - 1, v2c)
@@ -477,11 +499,14 @@ def decode_batch(
         if capture is not None:
             capture.post_check(it - 1, c2v)
 
+        prev_soft, prev_v2c = soft, v2c
         soft = ch + _gather(c2v, lay.var_eid, 0.0, lay.var_padded).sum(axis=1)
         if sat is None:
             v2c = _unclamped_v2c(soft, c2v, ch, lay)
         else:
             v2c = np.take(soft, lay.edge_var, axis=1) - c2v
+        stuck = _fixed_rows(soft, prev_soft, v2c, prev_v2c) if early and it > 1 else None
+        del prev_soft, prev_v2c  # only the compare needs them
 
         wrong = soft < 0
         hard = wrong.astype(np.uint8)
@@ -491,15 +516,20 @@ def decode_batch(
         conv_now = ~parity.any(axis=1)
         np.copyto(first_conv, it, where=(first_conv == 0) & conv_now)
 
-        if early and conv_now.any():
-            done = np.flatnonzero(conv_now)
-            gd = idx[done]
-            hard_out[gd] = hard[done]
-            soft_out[gd] = soft[done]
-            conv_out[gd] = True
-            iters_out[gd] = it
-            failed_out[gd] = wrong[done]
-            keep = np.flatnonzero(~conv_now)
+        done = conv_now if stuck is None else conv_now | stuck
+        if early and done.any():
+            # a stuck frame repeats this iteration up to max_iters: its
+            # outputs are the full run's, with every wrong symbol still
+            # wrong at the last iteration
+            rows = np.flatnonzero(done)
+            conv = conv_now[rows]
+            gd = idx[rows]
+            hard_out[gd] = hard[rows]
+            soft_out[gd] = soft[rows]
+            conv_out[gd] = conv
+            iters_out[gd[conv]] = it
+            failed_out[gd] = wrong[rows] | (~conv[:, None] & (last_wrong[rows] >= lo))
+            keep = np.flatnonzero(~done)
             if keep.size == 0:
                 return BatchResult(hard_out, conv_out, iters_out, failed_out, soft_out)
             idx = idx[keep]
@@ -513,13 +543,12 @@ def decode_batch(
             conv_now = conv_now[keep]
 
     # frames still in flight after the last iteration
-    lo = cfg.max_iters - cfg.ec_window + 1
     hard_out[idx] = hard
     soft_out[idx] = soft
     conv_out[idx] = conv_now if not early else False
     iters_out[idx] = np.where(first_conv > 0, first_conv, cfg.max_iters)
-    failed_out[idx] = np.where(conv_now[:, None], wrong, last_wrong >= max(lo, 1)) if not early \
-        else last_wrong >= max(lo, 1)
+    failed_out[idx] = np.where(conv_now[:, None], wrong, last_wrong >= lo) if not early \
+        else last_wrong >= lo
 
     return BatchResult(hard_out, conv_out, iters_out, failed_out, soft_out,
                        v2c if return_state else None)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from contextlib import closing
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from scipy.special import ndtr
@@ -449,18 +449,7 @@ def extrapolate_floor(
     value = integrate_floor(anchor.s_grid, anchor.cond, target, anchor.a, warn=False)
     v_lo = integrate_floor(anchor.s_grid, anchor.cond_lo, target, anchor.a, warn=False)
     v_hi = integrate_floor(anchor.s_grid, anchor.cond_hi, target, anchor.a, warn=False)
-    return FloorEstimate(
-        value,
-        (v_lo, v_hi),
-        anchor.s_grid.copy(),
-        anchor.cond.copy(),
-        anchor.cond_lo.copy(),
-        anchor.cond_hi.copy(),
-        anchor.frames.copy(),
-        anchor.a,
-        target.ebn0_db,
-        target.rate,
-        anchor.mode,
-        extrapolated_from=anchor.ebn0_db,
-        notes=notes,
-    )
+    arrays = {k: getattr(anchor, k).copy()
+              for k in ("s_grid", "cond", "cond_lo", "cond_hi", "frames")}
+    return replace(anchor, value=value, ci=(v_lo, v_hi), ebn0_db=target.ebn0_db,
+                   rate=target.rate, extrapolated_from=anchor.ebn0_db, notes=notes, **arrays)

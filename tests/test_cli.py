@@ -210,6 +210,16 @@ def test_richardson_rejects_degenerate_run_sizes(tmp_path, alist, capsys):
         assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("points", ["0", "-1"])
+def test_richardson_rejects_s_points_below_one(tmp_path, alist, capsys, points):
+    # -1 exited 3 from np.linspace; 0 exited 2 blaming the grid's order
+    (tmp_path / "sets.txt").write_text("0 1 2 3\n")
+    assert main(["richardson", "--alist", alist, "--set", "sets.txt", "--ebn0", "2.4",
+                 "--s-points", points, "--out", "r"]) == 2
+    assert "--s-points" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_stats_spa_rejects_frame_counts_below_one(tmp_path, alist, capsys):
     # --frames 0 used to exit 0 with a header-only stats CSV
     for frames in ("0", "-4"):

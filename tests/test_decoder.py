@@ -1,5 +1,6 @@
 """Check-node update rules and the batch message-passing decoder."""
 
+import json
 import math
 import warnings
 
@@ -8,11 +9,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from errorfloor.channel import ChannelConfig, frame_rng, sample_llrs
+from errorfloor.cli import main
+import errorfloor.decoder as decoder_mod
+import errorfloor.simharness as simharness_mod
 from errorfloor.decoder import (
+    BatchResult,
     DecoderConfig,
     NonFiniteMessageError,
     _check_pass,
+    _fixed_rows,
+    _gather,
     _layout,
+    _unclamped_v2c,
+    _Workspace,
     check_update_approx,
     check_update_exact,
     check_update_minsum,
@@ -21,7 +30,8 @@ from errorfloor.decoder import (
     decode_batch,
     run_capture,
 )
-from errorfloor.tanner import ParityCheckMatrix, random_regular_code
+from errorfloor.simharness import _rotated_noise
+from errorfloor.tanner import ParityCheckMatrix, random_regular_code, save_alist
 
 finite_llrs = st.lists(
     st.floats(-30, 30).filter(lambda x: abs(x) > 1e-3), min_size=2, max_size=8
@@ -357,3 +367,187 @@ def test_unclamped_decode_has_no_nan(irregular_code, early_stop):
             assert not np.isnan(decode(H, llr, dec).soft).any()
     assert not np.isnan(soft).any()
     assert np.isposinf(soft).any()  # the forced variables
+
+
+# --- the loop before fixed-point retirement, kept as the decoder's oracle ---
+
+def _oracle_decode_batch(H, llrs, cfg):
+    """Runs every non-converged frame to `cfg.max_iters`."""
+    F, n = llrs.shape
+    lay = _layout(H)
+    early = cfg.early_stop
+    hard_out = np.zeros((F, n), dtype=np.uint8)
+    conv_out = np.zeros(F, dtype=bool)
+    iters_out = np.full(F, cfg.max_iters, dtype=np.int32)
+    failed_out = np.zeros((F, n), dtype=bool)
+    soft_out = np.zeros((F, n))
+    idx = np.arange(F)
+    ch = llrs
+    v2c = ch[:, lay.edge_var].copy()
+    last_wrong = np.zeros((F, n), dtype=np.int32)
+    first_conv = np.zeros(F, dtype=np.int32)
+    work = _Workspace(lay, F)
+    sat = cfg.saturation
+    for it in range(1, cfg.max_iters + 1):
+        c2v = _check_pass(v2c, lay, cfg.mode, work)
+        if cfg.mode == "exact-tanh" and not np.isfinite(c2v).all():
+            raise NonFiniteMessageError("non-finite check output")
+        if sat is not None:
+            np.clip(c2v, -sat, sat, out=c2v)
+        soft = ch + _gather(c2v, lay.var_eid, 0.0, lay.var_padded).sum(axis=1)
+        if sat is None:
+            v2c = _unclamped_v2c(soft, c2v, ch, lay)
+        else:
+            v2c = np.take(soft, lay.edge_var, axis=1) - c2v
+        wrong = soft < 0
+        hard = wrong.astype(np.uint8)
+        np.maximum(last_wrong, np.multiply(wrong, it, dtype=np.int32), out=last_wrong)
+        parity = np.bitwise_xor.reduce(_gather(hard, lay.chk_var, 0, lay.chk_padded), axis=1)
+        conv_now = ~parity.any(axis=1)
+        np.copyto(first_conv, it, where=(first_conv == 0) & conv_now)
+        if early and conv_now.any():
+            done = np.flatnonzero(conv_now)
+            gd = idx[done]
+            hard_out[gd] = hard[done]
+            soft_out[gd] = soft[done]
+            conv_out[gd] = True
+            iters_out[gd] = it
+            failed_out[gd] = wrong[done]
+            keep = np.flatnonzero(~conv_now)
+            if keep.size == 0:
+                return BatchResult(hard_out, conv_out, iters_out, failed_out, soft_out)
+            idx, ch, v2c = idx[keep], ch[keep], v2c[keep]
+            last_wrong, first_conv = last_wrong[keep], first_conv[keep]
+            hard, soft, wrong, conv_now = hard[keep], soft[keep], wrong[keep], conv_now[keep]
+    lo = cfg.max_iters - cfg.ec_window + 1
+    hard_out[idx] = hard
+    soft_out[idx] = soft
+    conv_out[idx] = conv_now if not early else False
+    iters_out[idx] = np.where(first_conv > 0, first_conv, cfg.max_iters)
+    failed_out[idx] = np.where(conv_now[:, None], wrong, last_wrong >= max(lo, 1)) if not early \
+        else last_wrong >= max(lo, 1)
+    return BatchResult(hard_out, conv_out, iters_out, failed_out, soft_out)
+
+
+def _assert_same_batch(got, want):
+    for f in ("hard", "converged", "iterations", "failed"):
+        a, b = getattr(got, f), getattr(want, f)
+        assert a.dtype == b.dtype and np.array_equal(a, b), f
+    assert np.array_equal(got.soft.view(np.int64), want.soft.view(np.int64))
+
+
+def _assert_matches_oracle(H, llrs, dec):
+    """decode_batch equals the oracle bit for bit, or both raise; returns
+    the oracle's result (None when it raised)."""
+    try:
+        want = _oracle_decode_batch(H, llrs, dec)
+    except NonFiniteMessageError:
+        with pytest.raises(NonFiniteMessageError):
+            decode_batch(H, llrs, dec)
+        return None
+    _assert_same_batch(decode_batch(H, llrs, dec), want)
+    return want
+
+
+@pytest.fixture(scope="module")
+def trap_code():
+    """(3,6) host with a five-variable single-unsatisfied-check set planted."""
+    return random_regular_code(
+        256, 3, 6, seed=2,
+        planted=[(0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4), (1,)],
+    )
+
+
+def _trapped_llrs(code, n_frames):
+    # mean noise -2.2 over the planted set at 2.8 dB: no frame converges
+    # within 50 iterations, and most lock on the set with clamp 25
+    return _rotated_noise((0, 1, 2, 3, 4), -2.2, ChannelConfig(2.8, 0.5), frame_rng(3, 0),
+                          code.n_vars, n_frames)
+
+
+class _RowCounter:
+    """Wraps `_check_pass`, counting the frame-rows it decodes."""
+
+    def __init__(self, monkeypatch):
+        self.rows = 0
+        inner = decoder_mod._check_pass
+
+        def counted(v2c, *args, **kwargs):
+            self.rows += v2c.shape[0]
+            return inner(v2c, *args, **kwargs)
+
+        monkeypatch.setattr(decoder_mod, "_check_pass", counted)
+
+
+@pytest.mark.parametrize("mode", decoder_mod.MODES)
+@pytest.mark.parametrize("sat", [25.0, 3.0, None])
+@pytest.mark.parametrize("which", ["regular", "irregular"])
+def test_fixed_point_exit_matches_full_run(mode, sat, which, code, irregular_code, monkeypatch):
+    H = code if which == "regular" else irregular_code
+    counter = _RowCounter(monkeypatch)
+    trapped = []
+    for ebn0, iters in ((1.5, 50), (1.5, 20), (1.5, 7), (4.5, 50)):
+        llrs = clean_llrs(H, ChannelConfig(ebn0, 0.5), 96, seed=13)
+        for early in (True, False):
+            dec = DecoderConfig(mode=mode, max_iters=iters, saturation=sat, early_stop=early)
+            counter.rows = 0
+            want = _assert_matches_oracle(H, llrs, dec)
+            if want is not None and early:
+                trapped.append(counter.rows < want.iterations.sum())
+    # on these small codes only clamp 3 locks frames on a fixed point, so
+    # the other clamps cover batches without trapped frames (exact-tanh
+    # overflows on the irregular code's degree-1 check and decodes none)
+    if trapped:
+        assert any(trapped) == (sat == 3.0)
+
+
+@pytest.mark.parametrize("mode", decoder_mod.MODES)
+@pytest.mark.parametrize("sat", [25.0, None])
+def test_fixed_point_exit_matches_full_run_on_trapping_set(mode, sat, trap_code):
+    # 20 iterations put frames that lock late inside the trailing window
+    llrs = _trapped_llrs(trap_code, 64)
+    for iters in (50, 20, 7):
+        _assert_matches_oracle(trap_code, llrs, DecoderConfig(mode=mode, max_iters=iters,
+                                                              saturation=sat))
+
+
+def test_fixed_rows_tell_signed_zeros_apart():
+    # -0.0 == +0.0, but the check kernel XORs sign bits, so the two decode
+    # differently
+    soft = np.ones((3, 2))
+    v2c = np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 2.0]])
+    prev = np.array([[-0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
+    assert _fixed_rows(soft, soft.copy(), v2c, prev).tolist() == [False, True, False]
+    prev_soft = soft.copy()
+    prev_soft[1, 0] = 2.0
+    assert not _fixed_rows(soft, prev_soft, v2c, prev).any()
+
+
+def test_trapped_frames_leave_the_batch(trap_code, monkeypatch):
+    llrs = _trapped_llrs(trap_code, 64)
+    dec = DecoderConfig(max_iters=50, saturation=25.0)
+    want = _oracle_decode_batch(trap_code, llrs, dec)
+    assert not want.converged.any()
+    counter = _RowCounter(monkeypatch)
+    _assert_same_batch(decode_batch(trap_code, llrs, dec), want)
+    assert counter.rows < 0.75 * 64 * 50
+    # a run that hands back its state keeps every frame for every iteration
+    counter.rows = 0
+    decode_batch(trap_code, llrs, dec, return_state=True)
+    assert counter.rows == 64 * 50
+
+
+def test_richardson_exact_match_output_matches_oracle_loop(trap_code, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    save_alist(trap_code, tmp_path / "trap.alist")
+    (tmp_path / "sets.txt").write_text("0 1 2 3 4\n")
+    argv = ["richardson", "--alist", "trap.alist", "--set", "sets.txt", "--ebn0", "2.8",
+            "--s-points", "3", "--s-lo", "-2.2", "--s-hi", "-1.0", "--frames-per-point", "96",
+            "--target-failures", "1000", "--refine", "0", "--seed", "4"]
+    assert main(argv + ["--out", "new"]) == 0
+    monkeypatch.setattr(simharness_mod, "decode_batch", _oracle_decode_batch)
+    assert main(argv + ["--out", "old"]) == 0
+    new, old = (json.loads((tmp_path / f"{p}.json").read_text()) for p in ("new", "old"))
+    assert new.pop("manifest") == "new.manifest.json" and old.pop("manifest") == "old.manifest.json"
+    assert json.dumps(new) == json.dumps(old)
+    assert 0 < sum(new["frames"]) and 0 < new["value"]
