@@ -23,7 +23,9 @@ from .census import emit_table, table_to_csv
 from .channel import ChannelConfig
 from .decoder import DecoderConfig
 from .floorpred import (
-    PredictionJob,
+    _floats,
+    _i,
+    _sat,
     load_job,
     predict_curve,
     read_key_values,
@@ -38,28 +40,12 @@ class ConfigError(ValueError):
     """Bad or missing configuration; maps to exit code 2."""
 
 
-def _f(x: str) -> float:
-    return float(x)
-
-
-def _i(x: str) -> int:
-    return int(float(x))  # accepts 1e5
-
-
-def _sat(x: str):
-    return None if x.lower() in ("none", "inf", "off") else float(x)
-
-
-def _floats(x: str) -> tuple:
-    return tuple(float(v) for v in x.replace(",", " ").split())
-
-
 # per-command option table: dest -> (converter, default, help)
 _SPECS = {
     "simulate": {
         "alist": (str, None, "parity-check matrix (alist format)"),
-        "ebn0": (_f, None, "Eb/N0 in dB"),
-        "rate": (_f, None, "code rate; default (n-m)/n from the alist"),
+        "ebn0": (float, None, "Eb/N0 in dB"),
+        "rate": (float, None, "code rate; default (n-m)/n from the alist"),
         "sat": (_sat, 25.0, "LLR clamp at check output; 'none' disables"),
         "mode": (str, "pairwise", "check update: pairwise|exact-tanh|approx|min-sum"),
         "max_iters": (_i, 50, "decoding iterations"),
@@ -85,8 +71,8 @@ _SPECS = {
     "dde": {
         "dv": (_i, 3, "variable degree"),
         "dc": (_i, 6, "check degree"),
-        "ebn0": (_f, None, "Eb/N0 in dB"),
-        "rate": (_f, None, "code rate; default 1 - dv/dc"),
+        "ebn0": (float, None, "Eb/N0 in dB"),
+        "rate": (float, None, "code rate; default 1 - dv/dc"),
         "sat": (_sat, 25.0, "LLR clamp; 'none' disables"),
         "iters": (_i, 10, "iterations to evolve"),
         "out": (str, "dde", "output prefix"),
@@ -100,14 +86,14 @@ _SPECS = {
     "richardson": {
         "alist": (str, None, "parity-check matrix (alist format)"),
         "set": (str, None, "failure-set file; first line is used"),
-        "ebn0": (_f, None, "Eb/N0 in dB"),
-        "rate": (_f, None, "code rate; default (n-m)/n from the alist"),
+        "ebn0": (float, None, "Eb/N0 in dB"),
+        "rate": (float, None, "code rate; default (n-m)/n from the alist"),
         "mode": (str, "exact-match", "exact-match|saturation-phase"),
         "sat": (_sat, 25.0, "decoder clamp (exact-match) / phase-2 clamp"),
         "sat_iters": (_i, 20, "saturated iterations (saturation-phase)"),
         "max_iters": (_i, 50, "decoding iterations"),
-        "s_lo": (_f, -2.2, "most negative mean-noise grid point"),
-        "s_hi": (_f, -0.8, "least negative mean-noise grid point"),
+        "s_lo": (float, -2.2, "most negative mean-noise grid point"),
+        "s_hi": (float, -0.8, "least negative mean-noise grid point"),
         "s_points": (_i, 8, "grid size"),
         "frames_per_point": (_i, 20_000, "frame cap per grid point"),
         "target_failures": (_i, 50, "early stop per grid point"),
@@ -122,8 +108,8 @@ _SPECS = {
         "alist": (str, None, "code for spa capture (or rate inference)"),
         "dv": (_i, 3, "variable degree (dde source)"),
         "dc": (_i, 6, "check degree (dde source)"),
-        "ebn0": (_f, None, "Eb/N0 in dB"),
-        "rate": (_f, None, "code rate; default 1 - dv/dc or from the alist"),
+        "ebn0": (float, None, "Eb/N0 in dB"),
+        "rate": (float, None, "code rate; default 1 - dv/dc or from the alist"),
         "sat": (_sat, 25.0, "LLR clamp; 'none' disables"),
         "iters": (_i, 20, "iterations to collect"),
         "frames": (_i, 100, "capture frames (spa source)"),
@@ -158,7 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _coerce(conv, value: str, where: str):
     try:
         return conv(value)
-    except (ValueError, OverflowError) as e:  # int(float("inf")) overflows
+    except ValueError as e:
         raise ConfigError(f"bad value for {where}: {e}") from None
 
 
@@ -287,10 +273,20 @@ def cmd_predict(cfg: dict) -> int:
     return 0
 
 
+def _dde_stats(cfg: dict):
+    """Density-evolution statistics of a dde or stats run.  The rate
+    defaults to that of the --alist code if one is given, else 1 - dv/dc."""
+    rate = cfg["rate"]
+    if rate is None and cfg.get("alist") is not None:
+        rate = _rate_of(None, _load_code(cfg["alist"]))
+    if rate is None:
+        rate = 1.0 - cfg["dv"] / cfg["dc"]
+    return _build(stats_from_dde, _build(ChannelConfig, cfg["ebn0"], rate), cfg["dv"],
+                  cfg["dc"], cfg["iters"], cfg["sat"])
+
+
 def cmd_dde(cfg: dict) -> int:
-    rate = cfg["rate"] if cfg["rate"] is not None else 1.0 - cfg["dv"] / cfg["dc"]
-    stats = _build(stats_from_dde, _build(ChannelConfig, cfg["ebn0"], rate), cfg["dv"],
-                   cfg["dc"], cfg["iters"], cfg["sat"])
+    stats = _dde_stats(cfg)
     man = _Manifest("dde", cfg, cfg["out"])
     with man.csv_open(Path(f"{cfg['out']}.csv")) as fh:
         fh.write("# dde-table v1\n")
@@ -368,13 +364,7 @@ def cmd_stats(cfg: dict) -> int:
             n_frames=cfg["frames"], seed=cfg["seed"],
         )
     else:
-        rate = cfg["rate"]
-        if rate is None and cfg["alist"] is not None:
-            rate = _rate_of(None, _load_code(cfg["alist"]))
-        if rate is None:
-            rate = 1.0 - cfg["dv"] / cfg["dc"]
-        stats = _build(stats_from_dde, _build(ChannelConfig, cfg["ebn0"], rate), cfg["dv"],
-                       cfg["dc"], cfg["iters"], cfg["sat"])
+        stats = _dde_stats(cfg)
     man = _Manifest("stats", cfg, cfg["out"])
     path = Path(f"{cfg['out']}.csv")
     man.doc["outputs"].append(str(path))

@@ -225,6 +225,8 @@ def dde_run(
 ) -> DDEResult:
     if n_iters < 1:
         raise ValueError(f"n_iters must be at least 1, got {n_iters}")
+    if saturation is not None and saturation <= 0:
+        raise ValueError("saturation limit must be positive")
     if saturation is not None and saturation >= half * delta:
         warnings.warn(
             f"saturation {saturation:g} is beyond the grid edge {half * delta:g}; "

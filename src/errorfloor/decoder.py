@@ -197,6 +197,8 @@ class _Layout:
             np.concatenate(H.chk_vars).astype(np.int64) if self.E else np.zeros(0, np.int64)
         )
         self.edge_chk = np.repeat(np.arange(self.m, dtype=np.int64), dc)
+        # a degree-1 check's extrinsic output is the empty product, +inf
+        self.lone_edge = dc[self.edge_chk] == 1
         off = np.concatenate([[0], np.cumsum(dc)])
         dcmax = int(dc.max(initial=1))
         dvmax = int(dv.max(initial=1))
@@ -472,7 +474,7 @@ def decode_batch(
 
     hard_out = np.zeros((F, n), dtype=np.uint8)
     conv_out = np.zeros(F, dtype=bool)
-    iters_out = np.full(F, cfg.max_iters, dtype=np.int32)
+    iters_out = np.zeros(F, dtype=np.int32)
     failed_out = np.zeros((F, n), dtype=bool)
     soft_out = np.zeros((F, n))
 
@@ -490,10 +492,14 @@ def decode_batch(
         if capture is not None:
             capture.pre_check(it - 1, v2c)
         c2v = _check_pass(v2c, lay, cfg.mode, work)
-        if cfg.mode == "exact-tanh" and not np.isfinite(c2v).all():
-            raise NonFiniteMessageError(
-                f"non-finite check output at iteration {it}; inputs exceeded the tanh-product range"
-            )
+        if cfg.mode == "exact-tanh":
+            bad = ~np.isfinite(c2v)
+            bad[:, lay.lone_edge] = False  # the neutral +inf, not an overflow
+            if bad.any():
+                raise NonFiniteMessageError(
+                    f"non-finite check output at iteration {it}; "
+                    "inputs exceeded the tanh-product range"
+                )
         if sat is not None:
             np.clip(c2v, -sat, sat, out=c2v)
         if capture is not None:
@@ -516,8 +522,13 @@ def decode_batch(
         conv_now = ~parity.any(axis=1)
         np.copyto(first_conv, it, where=(first_conv == 0) & conv_now)
 
-        done = conv_now if stuck is None else conv_now | stuck
-        if early and done.any():
+        if it == cfg.max_iters:
+            done = np.ones(idx.size, dtype=bool)
+        elif early:
+            done = conv_now if stuck is None else conv_now | stuck
+        else:
+            continue
+        if done.any():
             # a stuck frame repeats this iteration up to max_iters: its
             # outputs are the full run's, with every wrong symbol still
             # wrong at the last iteration
@@ -527,28 +538,17 @@ def decode_batch(
             hard_out[gd] = hard[rows]
             soft_out[gd] = soft[rows]
             conv_out[gd] = conv
-            iters_out[gd[conv]] = it
+            iters_out[gd] = np.where(first_conv[rows] > 0, first_conv[rows], cfg.max_iters)
             failed_out[gd] = wrong[rows] | (~conv[:, None] & (last_wrong[rows] >= lo))
             keep = np.flatnonzero(~done)
             if keep.size == 0:
-                return BatchResult(hard_out, conv_out, iters_out, failed_out, soft_out)
+                break
             idx = idx[keep]
             ch = ch[keep]
             v2c = v2c[keep]
+            soft = soft[keep]
             last_wrong = last_wrong[keep]
             first_conv = first_conv[keep]
-            hard = hard[keep]
-            soft = soft[keep]
-            wrong = wrong[keep]
-            conv_now = conv_now[keep]
-
-    # frames still in flight after the last iteration
-    hard_out[idx] = hard
-    soft_out[idx] = soft
-    conv_out[idx] = conv_now if not early else False
-    iters_out[idx] = np.where(first_conv > 0, first_conv, cfg.max_iters)
-    failed_out[idx] = np.where(conv_now[:, None], wrong, last_wrong >= lo) if not early \
-        else last_wrong >= lo
 
     return BatchResult(hard_out, conv_out, iters_out, failed_out, soft_out,
                        v2c if return_state else None)

@@ -67,6 +67,8 @@ class PredictionJob:
             raise ValueError("SNR grid must be strictly increasing")
         if self.source not in ("dde", "spa"):
             raise ValueError(f"unknown stats source {self.source!r}")
+        if self.saturation is not None and self.saturation <= 0:
+            raise ValueError("saturation limit must be positive")
         if self.horizon < 1:
             raise ValueError("horizon must be positive")
         if self.capture_frames < 1:
@@ -344,31 +346,60 @@ def read_key_values(path) -> dict:
     return kv
 
 
+def _i(x: str) -> int:
+    v = float(x)  # accepts 1e5
+    if not v.is_integer():
+        raise ValueError(f"expected an integer, got {x!r}")
+    return int(v)
+
+
+def _sat(x: str):
+    return None if x.lower() in ("none", "inf", "off") else float(x)
+
+
+def _floats(x: str) -> tuple:
+    return tuple(float(v) for v in x.replace(",", " ").split())
+
+
+def _ints(x: str) -> tuple:
+    return tuple(_i(v) for v in x.replace(",", " ").split())
+
+
+# job-file key -> converter; each key but snr (snr_grid) names a
+# PredictionJob field, and code and sets are paths read by load_job
+_JOB_KEYS = {
+    "snr": _floats,
+    "rate": float,
+    "multiplicities": _ints,
+    "source": str,
+    "saturation": _sat,
+    "horizon": _i,
+    "inversion_iters": _i,
+    "mode": str,
+    "capture_frames": _i,
+    "capture_seed": _i,
+}
+
+
 def load_job(path) -> PredictionJob:
-    """Flat key-value job file; relative paths resolve against the file."""
+    """Flat key-value job file; relative paths resolve against the file.
+    Keys left out take PredictionJob's defaults, and the rate (n - m)/n."""
     base = Path(path).parent
     kv = read_key_values(path)
-    try:
-        H = load_alist(base / kv["code"])
-        sets = tuple(tuple(map(int, s)) for s in load_trapping_sets(base / kv["sets"]))
-        snr = tuple(float(x) for x in kv["snr"].replace(",", " ").split())
-    except KeyError as e:
-        raise ValueError(f"job file is missing the {e.args[0]!r} key") from None
-    rate = float(kv["rate"]) if "rate" in kv else (H.n_vars - H.n_chks) / H.n_vars
-    sat_txt = kv.get("saturation", "25").lower()
-    mults = tuple(int(x) for x in kv["multiplicities"].replace(",", " ").split()) \
-        if "multiplicities" in kv else ()
-    return PredictionJob(
-        H=H,
-        sets=sets,
-        snr_grid=snr,
-        rate=rate,
-        multiplicities=mults,
-        source=kv.get("source", "dde"),
-        saturation=None if sat_txt in ("none", "inf") else float(sat_txt),
-        horizon=int(kv.get("horizon", "20")),
-        inversion_iters=int(kv.get("inversion_iters", "3")),
-        mode=kv.get("mode", "pairwise"),
-        capture_frames=int(kv.get("capture_frames", "100")),
-        capture_seed=int(kv.get("capture_seed", "0")),
-    )
+    for k in ("code", "sets", "snr"):
+        if k not in kv:
+            raise ValueError(f"job file is missing the {k!r} key")
+    fields = {}
+    for k, v in kv.items():
+        if k in ("code", "sets"):
+            continue
+        if k not in _JOB_KEYS:
+            raise ValueError(f"unknown job key {k!r}")
+        try:
+            fields[k] = _JOB_KEYS[k](v)
+        except ValueError as e:
+            raise ValueError(f"bad value for {k!r}: {e}") from None
+    H = load_alist(base / kv["code"])
+    sets = tuple(tuple(map(int, s)) for s in load_trapping_sets(base / kv["sets"]))
+    fields.setdefault("rate", (H.n_vars - H.n_chks) / H.n_vars)
+    return PredictionJob(H=H, sets=sets, snr_grid=fields.pop("snr"), **fields)

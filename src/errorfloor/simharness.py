@@ -212,6 +212,8 @@ class SemiAnalyticConfig:
             raise ValueError("s grid must stay below zero")
         if self.mode not in ("exact-match", "saturation-phase"):
             raise ValueError(f"unknown classification mode {self.mode!r}")
+        if self.sat_limit <= 0:
+            raise ValueError("saturation limit must be positive")
         if self.sat_iters < 1 or self.ec_window < 1:
             raise ValueError("sat_iters and ec_window must be at least 1")
         if min(self.frames_per_point, self.batch_size, self.target_failures) < 1:
@@ -237,60 +239,44 @@ class ConditionalEstimate:
 
 def conditional_failure(
     H: ParityCheckMatrix,
-    T,
+    sa: SemiAnalyticConfig,
     s: float,
-    n_frames: int,
     cfg: ChannelConfig,
     dec: DecoderConfig,
-    mode: str = "exact-match",
-    seed: int = 0,
     stream_base: int = 0,
-    target_failures: int | None = None,
-    batch_size: int = 512,
-    sat_iters: int = 20,
-    sat_limit: float = 25.0,
-    ec_window: int = 12,
 ) -> ConditionalEstimate:
-    """P{failure pattern == T | mean noise over T = s}.
+    """P{failure pattern == T | mean noise over T = s} for T = `sa.trap_set`.
 
-    exact-match compares the decoder's not-eventually-correct set with T
-    directly; saturation-phase first lets the given (non-saturating)
-    decoder run, then appends `sat_iters` saturated iterations and
-    matches on their trailing `ec_window`.
+    Decodes batches of `sa.batch_size` frames until `sa.frames_per_point`
+    frames or `sa.target_failures` failures.  exact-match compares the
+    decoder's not-eventually-correct set with T directly;
+    saturation-phase first lets the given (non-saturating) decoder run,
+    then appends `sa.sat_iters` iterations clamped at `sa.sat_limit` and
+    matches on their trailing `sa.ec_window`.
     """
-    T = tuple(sorted(int(v) for v in T))
-    if not T:
-        raise ValueError("need a non-empty trapping set")
+    T = tuple(sorted(int(v) for v in sa.trap_set))
     mask = np.zeros(H.n_vars, dtype=bool)
     mask[list(T)] = True
-    if mode not in ("exact-match", "saturation-phase"):
-        raise ValueError(f"unknown classification mode {mode!r}")
+    sat_dec = DecoderConfig(
+        mode=dec.mode, max_iters=sa.sat_iters, saturation=sa.sat_limit,
+        early_stop=False, ec_window=sa.ec_window,
+    )
 
     fails = 0
     frames = 0
     batch = 0
-    while frames < n_frames:
-        bsize = min(batch_size, n_frames - frames)
-        rng = frame_rng(seed, stream_base + batch)
+    while frames < sa.frames_per_point and fails < sa.target_failures:
+        bsize = min(sa.batch_size, sa.frames_per_point - frames)
+        rng = frame_rng(sa.seed, stream_base + batch)
         llrs = _rotated_noise(T, s, cfg, rng, H.n_vars, bsize)
-        if mode == "exact-match":
-            res = decode_batch(H, llrs, dec)
-            failed = res.failed
+        if sa.mode == "exact-match":
+            failed = decode_batch(H, llrs, dec).failed
         else:
             pre = decode_batch(H, llrs, dec, return_state=True)
-            sat_dec = DecoderConfig(
-                mode=dec.mode,
-                max_iters=sat_iters,
-                saturation=sat_limit,
-                early_stop=False,
-                ec_window=ec_window,
-            )
             failed = decode_batch(H, llrs, sat_dec, init_v2c=pre.state_v2c).failed
         fails += int((failed == mask).all(axis=1).sum())
         frames += bsize
         batch += 1
-        if target_failures is not None and fails >= target_failures:
-            break
     return ConditionalEstimate(float(s), fails, frames)
 
 
@@ -352,23 +338,7 @@ class FloorEstimate:
 
 
 def _point_eval(args):
-    H, cfg, dec, sa, s, idx = args
-    return conditional_failure(
-        H,
-        sa.trap_set,
-        s,
-        sa.frames_per_point,
-        cfg,
-        dec,
-        mode=sa.mode,
-        seed=sa.seed,
-        stream_base=(idx + 1) << 20,
-        target_failures=sa.target_failures,
-        batch_size=sa.batch_size,
-        sat_iters=sa.sat_iters,
-        sat_limit=sa.sat_limit,
-        ec_window=sa.ec_window,
-    )
+    return conditional_failure(*args)
 
 
 def semi_analytic_floor(
@@ -385,7 +355,7 @@ def semi_analytic_floor(
     next_idx = len(points)
 
     def eval_points(batch):
-        tasks = [(H, cfg, dec, sa, s, i) for s, i in batch]
+        tasks = [(H, sa, s, cfg, dec, (i + 1) << 20) for s, i in batch]
         for est, (s, _) in zip(ordered_map(_point_eval, tasks, workers), batch):
             estimates[s] = est
 

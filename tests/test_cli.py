@@ -220,6 +220,50 @@ def test_richardson_rejects_s_points_below_one(tmp_path, alist, capsys, points):
     assert not (tmp_path / "r.json").exists()
 
 
+def test_non_positive_clamps_exit_2(tmp_path, planted_alist, capsys):
+    # dde and stats exited 0 with a table of nan (--sat -5) or m_ex = 0
+    # (--sat 0), and predict ran on the same statistics
+    (tmp_path / "sets.txt").write_text("0 1 2 3\n")
+    (tmp_path / "job.cfg").write_text(
+        f"code = {planted_alist}\nsets = sets.txt\nsnr = 2.6\nhorizon = 2\n"
+    )
+    runs = (["dde", "--ebn0", "2.8", "--iters", "2"],
+            ["stats", "--ebn0", "2.8", "--iters", "2"],
+            ["predict", "--job", "job.cfg"],
+            ["richardson", "--alist", planted_alist, "--set", "sets.txt", "--ebn0", "2.4",
+             "--mode", "saturation-phase", "--s-points", "1", "--s-lo", "-1.5",
+             "--s-hi", "-1.0", "--frames-per-point", "16", "--refine", "0"])
+    for sat in ("-5", "0"):
+        for argv in runs:
+            assert main(argv + ["--sat", sat, "--out", "o"]) == 2
+            assert "positive" in capsys.readouterr().err
+            assert not list(tmp_path.glob("o.*"))
+
+
+def test_non_integral_integers_exit_2(tmp_path, capsys):
+    # --iters 2.7 used to run 2 iterations and record iters: 2
+    assert main(["dde", "--ebn0", "2.8", "--iters", "2.7", "--out", "d"]) == 2
+    assert "integer" in capsys.readouterr().err
+    (tmp_path / "run.cfg").write_text("ebn0 = 2.8\niters = 2.5\n")
+    assert main(["dde", "--config", "run.cfg", "--out", "d"]) == 2
+    assert "iters" in capsys.readouterr().err
+    assert not (tmp_path / "d.csv").exists()
+    assert main(["dde", "--ebn0", "2.8", "--iters", "2e0", "--out", "d"]) == 0
+    assert read_manifest(tmp_path, "d")["config"]["iters"] == 2
+
+
+def test_predict_job_file_errors_exit_2(tmp_path, planted_alist, capsys):
+    # a misspelt key was read without complaint and ran at the default
+    (tmp_path / "sets.txt").write_text("0 1 2 3\n")
+    head = f"code = {planted_alist}\nsets = sets.txt\nsnr = 2.6\n"
+    for line, msg in (("horizn = 5\n", "horizn"), ("horizon = 2.5\n", "integer"),
+                      ("saturation = 0\n", "positive")):
+        (tmp_path / "job.cfg").write_text(head + line)
+        assert main(["predict", "--job", "job.cfg", "--out", "p"]) == 2
+        assert msg in capsys.readouterr().err
+        assert not (tmp_path / "p.json").exists()
+
+
 def test_stats_spa_rejects_frame_counts_below_one(tmp_path, alist, capsys):
     # --frames 0 used to exit 0 with a header-only stats CSV
     for frames in ("0", "-4"):

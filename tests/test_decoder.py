@@ -188,6 +188,20 @@ def test_exact_tanh_overflow_raises(code):
     assert res.converged.all()
 
 
+@pytest.mark.parametrize("sat", [25.0, None])
+def test_exact_tanh_passes_degree_one_checks(sat):
+    # a degree-1 check's output is the empty product, +inf: exact-tanh used
+    # to take it for an overflow and raise at iteration 1
+    H = ParityCheckMatrix([[0], [0, 1, 2], [1, 2, 3], [2, 3, 0]], 4)
+    llrs = np.full((3, 4), 5.0)
+    llrs[1, 3] = -1.0
+    llrs[2, 2] = -0.5
+    want = decode_batch(H, llrs, DecoderConfig(max_iters=10, saturation=sat))
+    got = decode_batch(H, llrs, DecoderConfig(mode="exact-tanh", max_iters=10, saturation=sat))
+    assert np.array_equal(got.converged, want.converged)
+    assert np.array_equal(got.hard, want.hard)
+
+
 def test_llr_width_checked(code):
     with pytest.raises(ValueError):
         decode_batch(code, np.zeros((2, code.n_vars + 1)), DecoderConfig())
@@ -388,9 +402,11 @@ def _oracle_decode_batch(H, llrs, cfg):
     first_conv = np.zeros(F, dtype=np.int32)
     work = _Workspace(lay, F)
     sat = cfg.saturation
+    lone = np.repeat(H.chk_degrees, H.chk_degrees) == 1  # edges are check-major
     for it in range(1, cfg.max_iters + 1):
         c2v = _check_pass(v2c, lay, cfg.mode, work)
-        if cfg.mode == "exact-tanh" and not np.isfinite(c2v).all():
+        # a degree-1 check's +inf output is neutral, not an overflow
+        if cfg.mode == "exact-tanh" and not (np.isfinite(c2v) | lone).all():
             raise NonFiniteMessageError("non-finite check output")
         if sat is not None:
             np.clip(c2v, -sat, sat, out=c2v)
@@ -495,8 +511,10 @@ def test_fixed_point_exit_matches_full_run(mode, sat, which, code, irregular_cod
             if want is not None and early:
                 trapped.append(counter.rows < want.iterations.sum())
     # on these small codes only clamp 3 locks frames on a fixed point, so
-    # the other clamps cover batches without trapped frames (exact-tanh
-    # overflows on the irregular code's degree-1 check and decodes none)
+    # the other clamps cover batches without trapped frames (on the
+    # irregular code exact-tanh decodes only at clamp 3: at 25 and none the
+    # degree-1 check's clamped or infinite output reaches a degree-2 check
+    # past the tanh-product range at iteration 2)
     if trapped:
         assert any(trapped) == (sat == 3.0)
 

@@ -86,6 +86,9 @@ def test_job_validation(code):
         PredictionJob(H=code, sets=((0,),), snr_grid=(2.0,), rate=0.5, horizon=0)
     with pytest.raises(ValueError, match="capture_frames"):
         PredictionJob(H=code, sets=((0,),), snr_grid=(2.0,), rate=0.5, capture_frames=0)
+    for sat in (0.0, -5.0):
+        with pytest.raises(ValueError, match="positive"):
+            PredictionJob(H=code, sets=((0,),), snr_grid=(2.0,), rate=0.5, saturation=sat)
 
 
 def test_predict_curve_cache_round_trip(job, tmp_path):
@@ -191,6 +194,28 @@ def test_load_job_missing_key(tmp_path):
     (tmp_path / "bad2.cfg").write_text("just a line without equals\n")
     with pytest.raises(ValueError, match="key"):
         load_job(tmp_path / "bad2.cfg")
+
+
+def test_load_job_defaults_and_key_checks(code, tmp_path):
+    save_alist(code, tmp_path / "code.alist")
+    (tmp_path / "sets.txt").write_text("0 1 2 3\n")
+    head = "code = code.alist\nsets = sets.txt\nsnr = 2.6\n"
+    (tmp_path / "job.cfg").write_text(head)
+    job = load_job(tmp_path / "job.cfg")
+    assert job == PredictionJob(H=job.H, sets=((0, 1, 2, 3),), snr_grid=(2.6,),
+                                rate=(code.n_vars - code.n_chks) / code.n_vars)
+    # the config-file vocabulary: off disables the clamp, 1e1 is an integer
+    (tmp_path / "job.cfg").write_text(head + "saturation = off\nhorizon = 1e1\n")
+    job = load_job(tmp_path / "job.cfg")
+    assert job.saturation is None and job.horizon == 10
+    # a misspelt key used to be ignored, leaving horizon at 20
+    for line, msg in (("horizn = 5\n", "unknown job key 'horizn'"),
+                      ("horizon = 2.5\n", "'horizon'"),
+                      ("capture_seed = x\n", "'capture_seed'"),
+                      ("multiplicities = 1.5\n", "'multiplicities'")):
+        (tmp_path / "job.cfg").write_text(head + line)
+        with pytest.raises(ValueError, match=msg):
+            load_job(tmp_path / "job.cfg")
 
 
 def test_stats_from_capture_smoke(code):

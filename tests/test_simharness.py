@@ -2,7 +2,7 @@
 
 import math
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -65,9 +65,8 @@ def test_rotated_noise_single_variable_pins_exactly():
     rng = frame_rng(1)
     f = _rotated_noise((4,), -0.9, CFG, rng, 10, 1)[0]
     assert f[4] == pytest.approx(CFG.llr_scale * 0.1, abs=1e-12)
-    H = ParityCheckMatrix([[0, 1], [1, 2]], 3)
-    with pytest.raises(ValueError, match="non-empty"):
-        conditional_failure(H, (), -0.9, 10, CFG, DecoderConfig(max_iters=5))
+    with pytest.raises(ValueError, match="a >= 1"):
+        SemiAnalyticConfig(trap_set=())
 
 
 def test_integrate_floor_saturated_curve():
@@ -150,6 +149,11 @@ def test_semi_analytic_config_validation():
         SemiAnalyticConfig(trap_set=(0, 1), s_grid=(-1.0, 0.5))
     with pytest.raises(ValueError):
         SemiAnalyticConfig(trap_set=(0, 1), mode="bogus")
+    # a clamp of 0 or below used to fail only once the first saturated
+    # phase built its decoder
+    for limit in (0.0, -5.0):
+        with pytest.raises(ValueError, match="positive"):
+            SemiAnalyticConfig(trap_set=(0, 1), sat_limit=limit)
 
 
 @pytest.mark.parametrize("kw", [
@@ -171,18 +175,17 @@ def planted_code():
 
 def test_conditional_failure_modes_and_determinism(planted_code):
     dec = DecoderConfig(mode="pairwise", max_iters=30, saturation=25.0)
-    est = conditional_failure(
-        planted_code, (0, 1, 2, 3), -2.0, 2_000, CFG, dec, seed=3
+    # a failure target at the frame budget never stops a point early
+    sa = SemiAnalyticConfig(
+        trap_set=(0, 1, 2, 3), frames_per_point=2_000, target_failures=2_000, seed=3
     )
-    est2 = conditional_failure(
-        planted_code, (0, 1, 2, 3), -2.0, 2_000, CFG, dec, seed=3
-    )
+    est = conditional_failure(planted_code, sa, -2.0, CFG, dec)
+    est2 = conditional_failure(planted_code, sa, -2.0, CFG, dec)
     assert est.failures == est2.failures and est.frames == est2.frames
     assert est.p > 0.5  # deep in the failure region
     assert est.ci[0] <= est.p <= est.ci[1]
     sat = conditional_failure(
-        planted_code, (0, 1, 2, 3), -2.0, 2_000, CFG, dec,
-        mode="saturation-phase", seed=3, sat_iters=10,
+        planted_code, replace(sa, mode="saturation-phase", sat_iters=10), -2.0, CFG, dec
     )
     assert 0.0 <= sat.p <= 1.0
     assert sat.frames == 2_000
