@@ -276,6 +276,9 @@ def cmd_predict(cfg: dict) -> int:
 def _dde_stats(cfg: dict):
     """Density-evolution statistics of a dde or stats run.  The rate
     defaults to that of the --alist code if one is given, else 1 - dv/dc."""
+    for key in ("dv", "dc"):
+        if cfg[key] < 2:
+            raise ConfigError(f"--{key} must be at least 2, got {cfg[key]}")
     rate = cfg["rate"]
     if rate is None and cfg.get("alist") is not None:
         rate = _rate_of(None, _load_code(cfg["alist"]))

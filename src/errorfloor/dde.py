@@ -20,10 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.integrate import quad
-from scipy.special import ndtr
 
-from .channel import ChannelConfig
+from .channel import ChannelConfig, ndtr
 
 DEFAULT_STEP = 50.0 / 2047.0
 DEFAULT_HALF_BINS = 2047
@@ -223,6 +221,9 @@ def dde_run(
     delta: float = DEFAULT_STEP,
     half: int = DEFAULT_HALF_BINS,
 ) -> DDEResult:
+    for name, deg in (("d_v", d_v), ("d_c", d_c)):
+        if deg < 2:
+            raise ValueError(f"{name} must be at least 2, got {deg}")
     if n_iters < 1:
         raise ValueError(f"n_iters must be at least 1, got {n_iters}")
     if saturation is not None and saturation <= 0:
@@ -269,6 +270,8 @@ def phi(x: float) -> float:
     even deep in the tail.  Above x = 700 the integrand underflows and
     the tight upper asymptote sqrt(pi/x) e^{-x/4} (1 - 1/(7x)) takes
     over."""
+    from scipy.integrate import quad  # not at module level: no CLI run calls phi
+
     if x < 0:
         raise ValueError("phi domain is x >= 0")
     if x == 0:

@@ -16,9 +16,8 @@ from contextlib import closing
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
-from scipy.special import ndtr
 
-from .channel import ChannelConfig, frame_rng, ordered_map, sample_llrs
+from .channel import ChannelConfig, frame_rng, ndtr, ordered_map, sample_llrs
 from .decoder import DecoderConfig, decode_batch
 from .tanner import ParityCheckMatrix, classify, induce
 

@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import special
 
 from errorfloor.channel import (
     ChannelConfig,
     frame_rng,
     llr_from_symbol,
+    ndtr,
     ordered_map,
     qfunc,
     sample_llrs,
@@ -32,6 +34,55 @@ def test_qfunc_symmetry(x):
 @given(st.floats(-6, 6), st.floats(0.01, 6))
 def test_qfunc_monotone(x, step):
     assert qfunc(x + step) < qfunc(x)
+
+
+def _rel_err_where_normal(got, want):
+    """Largest relative error over the entries whose value is >= 1e-300."""
+    keep = want >= 1e-300
+    assert keep.sum() > 0
+    return float(np.max(np.abs(got[keep] - want[keep]) / want[keep]))
+
+
+def test_qfunc_matches_scipy_erfc():
+    x = np.concatenate([np.linspace(-40.0, 40.0, 40_001), [-1e-300, 0.0, 1e-300, 37.0]])
+    want = 0.5 * special.erfc(x / math.sqrt(2.0))
+    assert _rel_err_where_normal(qfunc(x), want) <= 1e-12
+    for xi in (-8.5, -1.0, 0.25, 3.0, 12.0, 36.5):
+        w = 0.5 * special.erfc(xi / math.sqrt(2.0))
+        assert abs(qfunc(xi) - w) <= 1e-12 * w
+
+
+def test_ndtr_matches_scipy():
+    x = np.concatenate([np.linspace(-40.0, 40.0, 40_001), [-37.0, -1e-300, 0.0]])
+    assert _rel_err_where_normal(ndtr(x), special.ndtr(x)) <= 1e-12
+    for xi in (-36.5, -5.0, -0.5, 0.0, 2.0, 9.0):
+        assert abs(ndtr(xi) - special.ndtr(xi)) <= 1e-12 * special.ndtr(xi)
+
+
+@pytest.mark.parametrize("fn", [qfunc, ndtr])
+def test_tail_helpers_keep_shape_and_dtype(fn):
+    for x in (0.5, 2, np.float32(1.5), np.array(0.5)):
+        y = fn(x)
+        assert np.ndim(y) == 0 and np.asarray(y).dtype == np.float64
+    for shape in ((0,), (5,), (3, 4), (2, 0, 3)):
+        x = np.linspace(-3.0, 3.0, math.prod(shape)).reshape(shape)
+        y = fn(x)
+        assert isinstance(y, np.ndarray) and y.shape == shape and y.dtype == np.float64
+    assert fn([1, 2, 3]).dtype == np.float64
+
+
+def test_tail_helpers_at_infinity_and_nan():
+    assert ndtr(np.inf) == 1.0 and ndtr(-np.inf) == 0.0
+    assert math.isnan(qfunc(np.nan)) and math.isnan(ndtr(np.nan))
+    y = qfunc(np.array([-np.inf, np.nan, np.inf]))
+    assert y[0] == 1.0 and math.isnan(y[1]) and y[2] == 0.0
+
+
+def test_qfunc_keeps_subnormal_tail():
+    # libm's erfc does not flush to zero below the smallest normal double
+    # (scipy's erfc returns 0 here)
+    assert 0.0 < qfunc(38.0) < np.finfo(float).tiny
+    assert qfunc(38.0) < qfunc(37.9)
 
 
 def test_config_moments():

@@ -160,6 +160,19 @@ def test_evolution_iteration_counts_below_one_exit_2(tmp_path, alist, capsys):
         assert not (tmp_path / "s.csv").exists()
 
 
+@pytest.mark.parametrize("cmd", ["dde", "stats"])
+@pytest.mark.parametrize("flags", [["--dc", "0"], ["--dc", "1"], ["--dv", "0"], ["--dv", "1"],
+                                   ["--dv", "1", "--rate", "0.5"]])
+def test_evolution_degrees_below_two_exit_2(tmp_path, capsys, cmd, flags):
+    # --dc 0 used to exit 3 (division by zero in the 1 - dv/dc rate), --dc 1
+    # exited 2 blaming the rate, and --dv 0 or 1 exited 0 with the channel
+    # pmf's statistics written as if they were an evolution
+    assert main([cmd, "--ebn0", "3", "--iters", "2", *flags, "--out", "s"]) == 2
+    err = capsys.readouterr().err
+    assert f"{flags[0]} must be at least 2, got {flags[1]}" in err
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_enumerate_rejects_degenerate_sizes(tmp_path, capsys):
     # --dv 1 used to exit 3 ("nilpotent matrix"); --dv 0, -1 and --amax
     # 1, -3 exited 0 with an empty table
@@ -377,3 +390,54 @@ def test_version_subprocess():
     assert out.returncode == 0
     assert out.stdout.startswith("errorfloor ")
     assert out.stdout.strip() == f"errorfloor {errorfloor.__version__}"
+
+
+_SCIPY_PROBE = """
+import json, sys
+from errorfloor.cli import main
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+seen = {"import": loaded()}
+runs = {
+    "simulate": ["simulate", "--alist", "code.alist", "--ebn0", "2.0", "--frames", "64",
+                 "--batch-size", "64", "--max-iters", "5", "--out", "sim"],
+    "richardson exact-match": ["richardson", "--alist", "planted.alist", "--set", "sets.txt",
+                               "--ebn0", "2.4", "--s-points", "2", "--frames-per-point", "16",
+                               "--refine", "0", "--max-iters", "5", "--out", "r1"],
+    "richardson saturation-phase": ["richardson", "--alist", "planted.alist", "--set",
+                                    "sets.txt", "--ebn0", "2.4", "--mode", "saturation-phase",
+                                    "--s-points", "2", "--frames-per-point", "16", "--refine",
+                                    "0", "--max-iters", "5", "--sat-iters", "3", "--out", "r2"],
+    "predict": ["predict", "--job", "job.cfg", "--out", "p"],
+    "dde": ["dde", "--ebn0", "2.8", "--iters", "2", "--out", "d"],
+    "stats dde": ["stats", "--ebn0", "2.8", "--iters", "2", "--out", "s1"],
+    "stats spa": ["stats", "--source", "spa", "--alist", "code.alist", "--ebn0", "2.8",
+                  "--iters", "2", "--frames", "8", "--out", "s2"],
+    "enumerate": ["enumerate", "--dv", "3", "--amax", "4", "--out", "e"],
+}
+for name, argv in runs.items():
+    seen[name] = [f"exit {main(argv)}"] + loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_no_cli_path_imports_scipy(tmp_path, alist, planted_alist):
+    # importing scipy costs more than half a second of every CLI run, so
+    # only dde.phi (not on any CLI path) and the tests may use it
+    (tmp_path / "sets.txt").write_text("0 1 2 3\n")
+    (tmp_path / "job.cfg").write_text(
+        f"code = {planted_alist}\nsets = sets.txt\nsnr = 2.8\nhorizon = 2\n"
+    )
+    pkg_root = str(Path(errorfloor.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [pkg_root, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, cwd=tmp_path, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    seen = json.loads(out.stdout.splitlines()[-1])
+    assert seen.pop("import") == []
+    assert seen == {name: ["exit 0"] for name in seen}
+    assert len(seen) == 8

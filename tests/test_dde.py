@@ -6,7 +6,9 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.special
 
+import errorfloor.dde
 from errorfloor.channel import ChannelConfig
 from errorfloor.decoder import check_update_pairwise
 from errorfloor.dde import (
@@ -31,9 +33,7 @@ CFG = ChannelConfig(2.8, 0.5)
 
 def small_pmf(mean, sd, delta=0.25, half=120):
     edges = (np.arange(-half, half + 2) - 0.5) * delta
-    from scipy.special import ndtr
-
-    cdf = ndtr((edges - mean) / sd)
+    cdf = scipy.special.ndtr((edges - mean) / sd)
     p = np.diff(cdf)
     p[0] += cdf[0]
     p[-1] += 1.0 - cdf[-1]
@@ -46,6 +46,15 @@ def test_channel_pmf_moments():
     assert pmf.mean() == pytest.approx(CFG.mean_llr, rel=1e-4)
     assert pmf.variance() == pytest.approx(2 * CFG.mean_llr, rel=1e-3)
     assert 0.0 < pmf.negative_mass() < 0.1
+
+
+@pytest.mark.parametrize("ebn0_db", [2.5, 2.8, 3.1])
+def test_channel_pmf_matches_scipy_ndtr(monkeypatch, ebn0_db):
+    cfg = ChannelConfig(ebn0_db, 0.5)
+    got = channel_pmf(cfg).probs
+    monkeypatch.setattr(errorfloor.dde, "ndtr", scipy.special.ndtr)
+    want = channel_pmf(cfg).probs
+    assert np.max(np.abs(got - want)) <= 1e-15
 
 
 def test_pmf_length_checked():
@@ -210,6 +219,27 @@ def test_dde_mass_conserved_long_horizon():
     # saturated fixed point: mean parks at the clamp bin
     assert res.m_ex[-1] == pytest.approx(25.012, abs=0.01)
     assert res.g_bar[-1] == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("d_v, d_c, ebn0_db, sat", [(3, 6, 2.5, 15.0), (4, 8, 2.8, None),
+                                                    (3, 6, 3.1, 25.0)])
+def test_dde_run_matches_scipy_ndtr_channel(monkeypatch, d_v, d_c, ebn0_db, sat):
+    cfg = ChannelConfig(ebn0_db, 1 - d_v / d_c)
+    got = dde_run(d_v, d_c, cfg, n_iters=8, saturation=sat)
+    monkeypatch.setattr(errorfloor.dde, "ndtr", scipy.special.ndtr)
+    want = dde_run(d_v, d_c, cfg, n_iters=8, saturation=sat)
+    for key in ("m_ex", "g_bar", "p_e", "m_vc"):
+        np.testing.assert_allclose(getattr(got, key), getattr(want, key), rtol=1e-9, atol=0)
+    # once the clamp holds, var_ex is E[x^2] - E[x]^2 of two ~clamp^2 numbers,
+    # whose last digits are rounding noise: compare it relative to max(|var_ex|, 1)
+    np.testing.assert_allclose(got.var_ex, want.var_ex, rtol=1e-9, atol=1e-9)
+
+
+@pytest.mark.parametrize("d_v, d_c", [(1, 6), (0, 6), (3, 1), (3, 0)])
+def test_dde_run_rejects_degrees_below_two(d_v, d_c):
+    name = "d_v" if d_v < 2 else "d_c"
+    with pytest.raises(ValueError, match=f"{name} must be at least 2"):
+        dde_run(d_v, d_c, CFG, n_iters=1)
 
 
 def test_dde_saturation_beyond_grid_warns():

@@ -6,7 +6,10 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+import scipy.special
 from scipy.special import ndtr
+
+import errorfloor.simharness
 
 from errorfloor.channel import ChannelConfig, frame_rng, qfunc
 from errorfloor.decoder import DecoderConfig
@@ -82,6 +85,25 @@ def test_integrate_floor_step_curve():
     cond = np.array([1.0, 1.0, 0.0, 0.0])
     p = integrate_floor(grid, cond, CFG, a)
     assert p == pytest.approx(ndtr(s0 / scale), rel=1e-3)
+
+
+# conditional failure rates of criterion 10's (5,1) set at 2.8 dB, clamps 15 and 25
+_C10_GRID = [-2.2, -2.0, -1.8, -1.6, -1.4, -1.3, -1.2, -1.1, -1.0, -0.8]
+_C10_CURVES = (
+    [0.90234375, 0.93359375, 0.91796875, 0.8984375, 0.86328125, 0.70703125, 0.453125,
+     0.134765625, 0.013020833333333334, 0.0001],
+    [0.841796875, 0.8515625, 0.80078125, 0.75390625, 0.640625, 0.41796875, 0.21875,
+     0.0634765625, 0.005326704545454545, 0.0001],
+)
+
+
+@pytest.mark.parametrize("cond", _C10_CURVES)
+def test_integrate_floor_matches_scipy_ndtr(monkeypatch, cond):
+    cfg = ChannelConfig(2.8, 0.5)
+    got = integrate_floor(_C10_GRID, cond, cfg, a=5, warn=False)
+    monkeypatch.setattr(errorfloor.simharness, "ndtr", scipy.special.ndtr)
+    want = integrate_floor(_C10_GRID, cond, cfg, a=5, warn=False)
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_integrate_floor_warns_on_short_grid():
