@@ -17,8 +17,6 @@ import csv
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from .graphs import Multigraph, multigraph_to_digraph
 from .spectral import frobenius_bounds, spectral_summary
 

@@ -68,11 +68,6 @@ class ChannelConfig:
         return 4.0 * self.rate * self.ebn0
 
 
-def llr_from_symbol(cfg: ChannelConfig, received):
-    """Map received symbols r to channel LLRs (2/sigma^2) * r."""
-    return cfg.llr_scale * np.asarray(received, dtype=float)
-
-
 def frame_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator for a (seed, stream) pair.
 
@@ -115,8 +110,3 @@ def ordered_map(fn, tasks, workers: int = 1):
         finally:
             for fut in pending:
                 fut.cancel()
-
-
-def uncoded_error_prob(cfg: ChannelConfig) -> float:
-    """Bit error probability of the raw channel, Q(sqrt(2 R Eb/N0))."""
-    return float(qfunc(math.sqrt(2.0 * cfg.rate * cfg.ebn0)))

@@ -327,8 +327,11 @@ def cmd_richardson(cfg: dict) -> int:
         raise ConfigError("set references variables outside the code")
     if cfg["s_points"] < 1:
         raise ConfigError(f"--s-points must be at least 1, got {cfg['s_points']}")
-    chan = _build(ChannelConfig, cfg["ebn0"], _rate_of(cfg["rate"], H))
     nonsat = cfg["mode"] == "saturation-phase"
+    if nonsat and cfg["sat"] is None:
+        raise ConfigError("saturation-phase clamps its second phase: give a positive --sat, "
+                          "not none")
+    chan = _build(ChannelConfig, cfg["ebn0"], _rate_of(cfg["rate"], H))
     dec = _build(
         DecoderConfig,
         mode="pairwise", max_iters=cfg["max_iters"],
@@ -342,7 +345,7 @@ def cmd_richardson(cfg: dict) -> int:
         target_failures=cfg["target_failures"],
         mode=cfg["mode"],
         sat_iters=cfg["sat_iters"],
-        sat_limit=cfg["sat"] if cfg["sat"] is not None else 25.0,
+        sat_limit=cfg["sat"] if nonsat else SemiAnalyticConfig.sat_limit,
         ec_window=cfg["ec_window"],
         seed=cfg["seed"],
         refine_rounds=cfg["refine"],

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .channel import ChannelConfig, ndtr
+from .channel import ChannelConfig, ndtr, qfunc
 
 DEFAULT_STEP = 50.0 / 2047.0
 DEFAULT_HALF_BINS = 2047
@@ -177,14 +177,18 @@ class Pmf:
 
 
 def channel_pmf(cfg: ChannelConfig, delta: float = DEFAULT_STEP, half: int = DEFAULT_HALF_BINS) -> Pmf:
-    """Quantized N(m_lambda, 2 m_lambda) channel LLR density."""
+    """Quantized N(m_lambda, 2 m_lambda) channel LLR density.
+
+    Bins below the mean take their mass from CDF differences, bins above
+    it from upper-tail (Q) differences: a CDF near 1 would round the
+    upper tail's masses to multiples of 2^-53."""
     m = cfg.mean_llr
     sd = math.sqrt(2.0 * m)
-    edges = (np.arange(-half, half + 2) - 0.5) * delta
-    cdf = ndtr((edges - m) / sd)
-    p = np.diff(cdf)
+    z = ((np.arange(-half, half + 2) - 0.5) * delta - m) / sd
+    cdf, tail = ndtr(z), qfunc(z)
+    p = np.where(z[1:] <= 0.0, np.diff(cdf), -np.diff(tail))
     p[0] += cdf[0]
-    p[-1] += 1.0 - cdf[-1]
+    p[-1] += tail[-1]
     return Pmf(p, delta, half)
 
 
@@ -335,33 +339,20 @@ def growth_threshold_pointwise(
     r: float,
     m_prev: float,
     cfg: ChannelConfig,
-    delta_mode: str = "one-minus-3-over-x",
 ) -> bool:
     """Pointwise growth condition at mean m_prev against a set with
     spectral radius r; satisfied means DE outpaces the set's gain."""
-    return pointwise_margin(d_v, d_c, r, m_prev, cfg, delta_mode) > 0
+    return pointwise_margin(d_v, d_c, r, m_prev, cfg) > 0
 
 
-def pointwise_margin(
-    d_v: int,
-    d_c: int,
-    r: float,
-    m_prev: float,
-    cfg: ChannelConfig,
-    delta_mode: str = "one-minus-3-over-x",
-) -> float:
+def pointwise_margin(d_v: int, d_c: int, r: float, m_prev: float, cfg: ChannelConfig) -> float:
     """Signed slack of the pointwise growth condition (positive:
-    satisfied)."""
+    satisfied), with delta = 1 - 3/x at the variable-node mean x."""
     eps = d_v - 1 - r
     x = cfg.mean_llr + (d_v - 1) * m_prev
-    if delta_mode == "one":
-        delta = 1.0
-    elif delta_mode == "one-minus-3-over-x":
-        delta = 1.0 - 3.0 / x
-        if delta <= 0:
-            return -math.inf
-    else:
-        raise ValueError(f"unknown delta_mode {delta_mode!r}")
+    delta = 1.0 - 3.0 / x
+    if delta <= 0:
+        return -math.inf
     need = math.log((d_c - 1) / delta) / (1.0 + 2.0 / x) - eps * m_prev / 4.0
     return cfg.rate * cfg.ebn0 - need
 
@@ -371,18 +362,17 @@ def pointwise_crossing(
     d_c: int,
     r: float,
     cfg: ChannelConfig,
-    delta_mode: str = "one-minus-3-over-x",
     lo: float = 0.1,
     hi: float = 500.0,
 ) -> float:
     """Smallest m_prev at which the pointwise condition turns on."""
-    if pointwise_margin(d_v, d_c, r, lo, cfg, delta_mode) > 0:
+    if pointwise_margin(d_v, d_c, r, lo, cfg) > 0:
         return lo
-    if pointwise_margin(d_v, d_c, r, hi, cfg, delta_mode) <= 0:
+    if pointwise_margin(d_v, d_c, r, hi, cfg) <= 0:
         raise ValueError("condition never satisfied below hi")
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        if pointwise_margin(d_v, d_c, r, mid, cfg, delta_mode) > 0:
+        if pointwise_margin(d_v, d_c, r, mid, cfg) > 0:
             hi = mid
         else:
             lo = mid

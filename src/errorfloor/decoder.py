@@ -328,15 +328,6 @@ def _check_pass(v2c, lay: _Layout, mode: str, work: _Workspace | None = None) ->
     return c2v
 
 
-@dataclass
-class IterationStats:
-    iteration: int
-    m_ex: float
-    var_ex: float
-    g_bar: float
-    p_e: float
-
-
 class CaptureAccumulator:
     """Per-iteration statistics over all frames fed through a decoder.
 
@@ -347,7 +338,6 @@ class CaptureAccumulator:
 
     def __init__(self, d_c: int, n_iters: int):
         self.d_c = int(d_c)
-        self.n_iters = int(n_iters)
         z = np.zeros(n_iters)
         self._tanh_sum = z.copy()
         self._tanh_n = z.copy()
@@ -368,24 +358,16 @@ class CaptureAccumulator:
         self._cv_sq[it] += (c2v * c2v).sum()
         self._cv_n[it] += c2v.size
 
-    def results(self) -> list[IterationStats]:
-        rows = []
-        for it in range(self.n_iters):
-            if self._cv_n[it] == 0:
-                break
-            tanh_mean = self._tanh_sum[it] / self._tanh_n[it]
-            mean = self._cv_sum[it] / self._cv_n[it]
-            var = self._cv_sq[it] / self._cv_n[it] - mean * mean
-            rows.append(
-                IterationStats(
-                    iteration=it + 1,
-                    m_ex=float(mean),
-                    var_ex=float(var),
-                    g_bar=float(tanh_mean ** (self.d_c - 2)),
-                    p_e=float(self._neg_sum[it] / self._neg_n[it]),
-                )
-            )
-        return rows
+    def results(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Per-iteration columns (m_ex, var_ex, g_bar, p_e) over the
+        iterations that saw frames; a frame reaching an iteration passed
+        all earlier ones, so these come first."""
+        n = np.count_nonzero(self._cv_n)
+        mean = self._cv_sum[:n] / self._cv_n[:n]
+        var = self._cv_sq[:n] / self._cv_n[:n] - mean * mean
+        # scalar (libm) pow: numpy's vectorized power may differ in the last bit
+        g_bar = np.array([t ** (self.d_c - 2) for t in self._tanh_sum[:n] / self._tanh_n[:n]])
+        return mean, var, g_bar, self._neg_sum[:n] / self._neg_n[:n]
 
 
 @dataclass
@@ -564,15 +546,3 @@ def decode(H: ParityCheckMatrix, llr, cfg: DecoderConfig) -> DecodeResult:
         failed_set=np.flatnonzero(res.failed[0]),
         soft=res.soft[0],
     )
-
-
-def run_capture(
-    H: ParityCheckMatrix, llr_batches, cfg: DecoderConfig, d_c: int
-) -> list[IterationStats]:
-    """Feed LLR batches through the decoder collecting per-iteration
-    statistics; early termination is disabled so every frame contributes
-    to every iteration."""
-    cap = CaptureAccumulator(d_c, cfg.max_iters)
-    for llrs in llr_batches:
-        decode_batch(H, llrs, cfg, capture=cap)
-    return cap.results()

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import json
 import os
 import tempfile
 from dataclasses import asdict, dataclass
@@ -20,7 +19,7 @@ import numpy as np
 
 from .channel import ChannelConfig, frame_rng, ordered_map, sample_llrs
 from .dde import DEFAULT_HALF_BINS, DEFAULT_STEP, dde_run
-from .decoder import DecoderConfig, run_capture
+from .decoder import CaptureAccumulator, DecoderConfig, decode_batch
 from .statespace import (
     InputStats,
     beta_prime_moments,
@@ -29,10 +28,10 @@ from .statespace import (
     gain_schedule,
     union_bounds,
 )
-from .tanner import ParityCheckMatrix, classify, induce, load_alist, load_trapping_sets
+from .tanner import ParityCheckMatrix, induce, load_alist, load_trapping_sets
 
 CACHE_ENV = "ERRORFLOOR_CACHE_DIR"
-CACHE_SCHEMA = "v2"  # bump when the key or the stats files change
+CACHE_SCHEMA = "v3"  # bump when the key or the stats files change
 
 
 @dataclass(frozen=True)
@@ -73,6 +72,8 @@ class PredictionJob:
             raise ValueError("horizon must be positive")
         if self.capture_frames < 1:
             raise ValueError("capture_frames must be at least 1")
+        if self.capture_seed < 0:
+            raise ValueError(f"capture_seed must be non-negative, got {self.capture_seed}")
         if not self.code_id:
             object.__setattr__(self, "code_id", code_digest(self.H))
 
@@ -107,33 +108,23 @@ def stats_from_capture(
     mode: str = "pairwise",
     n_frames: int = 100,
     seed: int = 0,
-    batch_size: int = 50,
 ) -> InputStats:
     """Population statistics captured from the decoder itself on
-    all-zero-codeword frames."""
+    all-zero-codeword frames, decoded in batches of 50 without early
+    termination, so every frame contributes to every iteration."""
     if n_iters < 1:
         raise ValueError(f"n_iters must be at least 1, got {n_iters}")
-    if n_frames < 1 or batch_size < 1:
-        raise ValueError("n_frames and batch_size must be at least 1")
+    if n_frames < 1:
+        raise ValueError(f"n_frames must be at least 1, got {n_frames}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     dec = DecoderConfig(mode=mode, max_iters=n_iters, saturation=saturation)
     d_c = _check_degree(H)
-    batches = (
-        sample_llrs(cfg, frame_rng(seed, b), (min(batch_size, n_frames - start), H.n_vars))
-        for b, start in enumerate(range(0, n_frames, batch_size))
-    )
-    rows = run_capture(H, batches, dec, d_c)
-    return InputStats(
-        "spa",
-        d_c,
-        cfg.mean_llr,
-        np.array([r.m_ex for r in rows]),
-        np.array([r.var_ex for r in rows]),
-        np.array([r.g_bar for r in rows]),
-        np.array([r.p_e for r in rows]),
-        cfg.ebn0_db,
-        cfg.rate,
-        saturation,
-    )
+    cap = CaptureAccumulator(d_c, n_iters)
+    for b, start in enumerate(range(0, n_frames, 50)):
+        llrs = sample_llrs(cfg, frame_rng(seed, b), (min(50, n_frames - start), H.n_vars))
+        decode_batch(H, llrs, dec, capture=cap)
+    return InputStats("spa", d_c, cfg.mean_llr, *cap.results(), cfg.ebn0_db, cfg.rate, saturation)
 
 
 def _cache_path(cache_dir, job: PredictionJob, cfg: ChannelConfig, d_v: int) -> Path:
@@ -221,9 +212,6 @@ class PredictionReport:
             ],
             "breakdown": [[row(p) for p in rows] for rows in self.breakdown],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
     def to_csv(self, fh) -> None:
         w = csv.writer(fh)

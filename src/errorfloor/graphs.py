@@ -42,13 +42,6 @@ class Multigraph:
             d[v] += 1
         return d
 
-    def adjacency(self) -> np.ndarray:
-        A = np.zeros((self.n, self.n), dtype=np.int64)
-        for u, v in self.edges:
-            A[u, v] += 1
-            A[v, u] += 1
-        return A
-
     def connected(self) -> bool:
         if self.n == 0:
             return False
@@ -82,51 +75,6 @@ def subgraph_to_multigraph(sub: InducedSubgraph) -> Multigraph:
     return Multigraph(sub.a, edges)
 
 
-def multigraph_submatrix(G: Multigraph, d_v: int) -> np.ndarray:
-    """Dense H_S of the elementary subgraph that collapses to G: one
-    degree-2 row per edge plus (d_v - deg) degree-1 rows per vertex."""
-    deg = G.degrees()
-    if np.any(deg > d_v):
-        raise ValueError("vertex degree exceeds d_v")
-    rows = []
-    for u, v in G.edges:
-        r = np.zeros(G.n, dtype=np.uint8)
-        r[u] = r[v] = 1
-        rows.append(r)
-    for v in range(G.n):
-        for _ in range(d_v - int(deg[v])):
-            r = np.zeros(G.n, dtype=np.uint8)
-            r[v] = 1
-            rows.append(r)
-    return np.array(rows, dtype=np.uint8)
-
-
-def strip_leaves(G: Multigraph):
-    """Iteratively delete degree-<=1 vertices.
-
-    Returns (core, kept) where `kept` maps core vertex ids back to the
-    originals.  Raises on tree input (nothing survives).
-    """
-    alive = set(range(G.n))
-    edges = list(G.edges)
-    while True:
-        deg = {}
-        for u, v in edges:
-            deg[u] = deg.get(u, 0) + 1
-            deg[v] = deg.get(v, 0) + 1
-        drop = {v for v in alive if deg.get(v, 0) <= 1}
-        if not drop:
-            break
-        alive -= drop
-        edges = [(u, v) for u, v in edges if u not in drop and v not in drop]
-    if not alive:
-        raise ValueError("tree input: no 2-core")
-    kept = sorted(alive)
-    remap = {v: i for i, v in enumerate(kept)}
-    core = Multigraph(len(kept), [(remap[u], remap[v]) for u, v in edges])
-    return core, np.asarray(kept, dtype=np.int64)
-
-
 @dataclass
 class StateDigraph:
     """Directed-edge states of a multigraph and their adjacency.
@@ -143,10 +91,6 @@ class StateDigraph:
     @property
     def order(self) -> int:
         return len(self.states)
-
-    @property
-    def n_arcs(self) -> int:
-        return int(self.arcs.sum())
 
 
 def multigraph_to_digraph(G: Multigraph) -> StateDigraph:
@@ -176,32 +120,3 @@ def multigraph_to_digraph(G: Multigraph) -> StateDigraph:
             if j != rev[i]:
                 arcs[i, j] = 1
     return StateDigraph(states, arcs, rev)
-
-
-def save_multigraph(G: Multigraph, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# order {G.n}\n")
-        for u, v in G.edges:
-            fh.write(f"{u} {v}\n")
-
-
-def load_multigraph(path) -> Multigraph:
-    """Edge-list text: one `u v` pair per line, '#' comments.  A header
-    comment `# order N` pins the vertex count (isolated tails)."""
-    n = None
-    edges = []
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if line.startswith("#"):
-                parts = line[1:].split()
-                if len(parts) == 2 and parts[0] == "order":
-                    n = int(parts[1])
-                continue
-            if not line:
-                continue
-            u, v = (int(t) for t in line.split())
-            edges.append((u, v))
-    if n is None:
-        n = 1 + max((max(u, v) for u, v in edges), default=-1)
-    return Multigraph(n, edges)

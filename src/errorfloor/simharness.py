@@ -55,6 +55,8 @@ class McConfig:
     def __post_init__(self):
         if self.max_frames < 1 or self.batch_size < 1 or self.workers < 1:
             raise ValueError("max_frames, batch_size and workers must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.target_errors is not None and self.target_errors < 1:
             raise ValueError("target_errors must be positive")
 
@@ -219,6 +221,8 @@ class SemiAnalyticConfig:
             raise ValueError("frames_per_point, batch_size and target_failures must be at least 1")
         if self.refine_rounds < 0:
             raise ValueError("refine_rounds must be at least 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -59,11 +59,6 @@ def frobenius_bounds(M) -> tuple[float, float]:
     return float(s.min()), float(s.max())
 
 
-def approx_spectral_radius(a: int, b: int, d_v: int) -> float:
-    """Degree-averaged estimate d_v - 1 - b/a; never above the true r."""
-    return d_v - 1 - b / a
-
-
 def _sccs(adj: list[list[int]], radj: list[list[int]]) -> list[list[int]]:
     """Kosaraju strongly-connected components (iterative) from successor
     and predecessor lists."""

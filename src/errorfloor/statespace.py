@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,7 @@ class StateSpaceModel:
     d_v: int
     graph: Multigraph
     has_leaves: bool
-    summary: SpectralSummary = field(default=None)
+    summary: SpectralSummary
 
     @property
     def m(self) -> int:
@@ -47,7 +47,7 @@ class StateSpaceModel:
         return self.B_ex.shape[1]
 
 
-def build_model(sub: InducedSubgraph, d_v: int, with_summary: bool = True) -> StateSpaceModel:
+def build_model(sub: InducedSubgraph, d_v: int) -> StateSpaceModel:
     """Assemble (A, B, B_ex, C, D_ex) for an elementary connected
     subgraph.  Trees are rejected (no cycle, nothing to model); leaves
     are tolerated and flagged since they only pad the spectrum with
@@ -83,12 +83,9 @@ def build_model(sub: InducedSubgraph, d_v: int, with_summary: bool = True) -> St
             if tail == v:
                 B_ex[k, j] = 1.0
 
-    model = StateSpaceModel(
-        A, B, B_ex, C, D_ex, D.states, d_v, G, bool(np.any(deg <= 1))
+    return StateSpaceModel(
+        A, B, B_ex, C, D_ex, D.states, d_v, G, bool(np.any(deg <= 1)), spectral_summary(A)
     )
-    if with_summary:
-        model.summary = spectral_summary(A)
-    return model
 
 
 @dataclass
@@ -220,9 +217,8 @@ def beta_prime_moments(
     dominant gain r^i * prod(g_eff)."""
     if horizon > stats.n_iters or horizon > len(schedule.g_eff):
         raise ValueError("horizon exceeds the available stats")
-    summary = model.summary if model.summary is not None else spectral_summary(model.A)
-    w1 = summary.w1
-    r = summary.r
+    w1 = model.summary.w1
+    r = model.summary.r
 
     wB = w1 @ model.B
     wBex = w1 @ model.B_ex
@@ -257,18 +253,14 @@ def codeword_failure_probability(cfg: ChannelConfig, weight: int) -> float:
     return float(qfunc(math.sqrt(2.0 * cfg.rate * cfg.ebn0 * weight)))
 
 
-def union_bounds(probs, mults, set_sizes, n, info_bit_counts=None, k=None):
+def union_bounds(probs, mults, set_sizes, n):
     """Union bound over failure sets: FER sums multiplicity-weighted
-    probabilities, BER additionally weights by a_i/n (or by the
-    information-bit fraction when both optional args are given)."""
+    probabilities, BER additionally weights by a_i/n."""
     probs = np.asarray(probs, dtype=float)
     mults = np.asarray(mults, dtype=float)
     sizes = np.asarray(set_sizes, dtype=float)
     fer = float(np.sum(mults * probs))
-    if info_bit_counts is not None and k:
-        ber = float(np.sum(mults * np.asarray(info_bit_counts, dtype=float) / k * probs))
-    else:
-        ber = float(np.sum(mults * sizes / n * probs))
+    ber = float(np.sum(mults * sizes / n * probs))
     return fer, ber
 
 

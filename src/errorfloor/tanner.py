@@ -6,7 +6,7 @@ format's 1-based indices are translated at the file boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,16 +147,6 @@ class InducedSubgraph:
     def b(self) -> int:
         return int(np.sum(self.check_degrees % 2 == 1))
 
-    def submatrix(self) -> np.ndarray:
-        """Dense H_S restricted to (checks touching S) x S."""
-        pos = {int(v): j for j, v in enumerate(self.variables)}
-        HS = np.zeros((len(self.checks), self.a), dtype=np.uint8)
-        for i, c in enumerate(self.checks):
-            for v in self.host.chk_vars[c]:
-                if int(v) in pos:
-                    HS[i, pos[int(v)]] = 1
-        return HS
-
 
 def induce(H: ParityCheckMatrix, var_set) -> InducedSubgraph:
     S = np.asarray(sorted(set(map(int, var_set))), dtype=np.int64)
@@ -228,16 +218,14 @@ def random_regular_code(
     d_c: int,
     seed: int = 0,
     planted=None,
-    avoid_4cycles: bool = True,
-    max_tries: int = 500,
 ) -> ParityCheckMatrix:
     """Small random (d_v, d_c)-regular code via progressive edge growth.
 
     `planted` is an optional list of per-check variable tuples occupying
     the first checks; the remaining sockets are filled randomly.  Edges
     are grown one at a time, rejecting candidates that would duplicate an
-    edge or (by default) close a 4-cycle; the whole construction restarts
-    on a dead end.
+    edge or close a 4-cycle; the whole construction restarts on a dead
+    end, at most 500 times.
     """
     if (n * d_v) % d_c != 0:
         raise ValueError("n*d_v must be divisible by d_c")
@@ -247,7 +235,7 @@ def random_regular_code(
         raise ValueError("more planted checks than checks in the code")
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=(seed, 0x7e9))))
-    for _ in range(max_tries):
+    for _ in range(500):
         chk_sets = [set() for _ in range(m)]
         var_sets = [set() for _ in range(n)]
         ok = True
@@ -262,15 +250,14 @@ def random_regular_code(
         for v in order:
             while ok and len(var_sets[v]) < d_v:
                 two_hop = set()
-                if avoid_4cycles:
-                    for c in var_sets[v]:
-                        two_hop.update(chk_sets[c])
-                    two_hop.discard(v)
+                for c in var_sets[v]:
+                    two_hop.update(chk_sets[c])
+                two_hop.discard(v)
                 cands = [
                     c for c in range(m)
                     if len(chk_sets[c]) < d_c
                     and c not in var_sets[v]
-                    and (not avoid_4cycles or not (chk_sets[c] & two_hop))
+                    and not (chk_sets[c] & two_hop)
                 ]
                 if not cands:
                     ok = False
@@ -284,4 +271,4 @@ def random_regular_code(
                 break
         if ok:
             return ParityCheckMatrix([sorted(s) for s in chk_sets], n)
-    raise RuntimeError(f"could not build a ({d_v},{d_c}) code with n={n} in {max_tries} tries")
+    raise RuntimeError(f"could not build a ({d_v},{d_c}) code with n={n} in 500 tries")

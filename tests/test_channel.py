@@ -10,13 +10,12 @@ from scipy import special
 from errorfloor.channel import (
     ChannelConfig,
     frame_rng,
-    llr_from_symbol,
     ndtr,
     ordered_map,
     qfunc,
     sample_llrs,
-    uncoded_error_prob,
 )
+from errorfloor.statespace import codeword_failure_probability
 
 
 def test_qfunc_anchors():
@@ -98,9 +97,10 @@ def test_config_moments():
 
 @pytest.mark.parametrize("ebn0_db,rate", [(2.8, 0.5), (5.0, 0.841), (0.0, 0.25)])
 def test_llr_from_symbol_affine(ebn0_db, rate):
+    # the LLR of the received symbol 1 + n is (2/sigma^2) * (1 + n)
     cfg = ChannelConfig(ebn0_db, rate)
-    noise = np.array([-0.7, 0.0, 1.3])
-    llr = llr_from_symbol(cfg, 1.0 + noise)
+    noise = frame_rng(4, 0).normal(0.0, cfg.sigma, size=3)
+    llr = sample_llrs(cfg, frame_rng(4, 0), 3)
     assert llr == pytest.approx(cfg.llr_scale * (1.0 + noise))
 
 
@@ -147,8 +147,8 @@ def test_ordered_map_rejects_workers_below_one():
 
 def test_uncoded_error_prob():
     cfg = ChannelConfig(2.8, 0.5)
-    # P{1 + n < 0} for n ~ N(0, sigma^2)
-    assert uncoded_error_prob(cfg) == pytest.approx(qfunc(1.0 / cfg.sigma), rel=1e-12)
+    # a weight-1 word fails as the raw channel does: P{1 + n < 0}, n ~ N(0, sigma^2)
+    assert codeword_failure_probability(cfg, 1) == pytest.approx(qfunc(1.0 / cfg.sigma), rel=1e-12)
 
 
 def test_invalid_config():

@@ -253,6 +253,39 @@ def test_non_positive_clamps_exit_2(tmp_path, planted_alist, capsys):
             assert not list(tmp_path.glob("o.*"))
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--alist", "planted.alist", "--ebn0", "2.0", "--frames", "16", "--seed", "-1"],
+    ["richardson", "--alist", "planted.alist", "--set", "sets.txt", "--ebn0", "2.4",
+     "--s-points", "1", "--s-lo", "-1.5", "--s-hi", "-1.0", "--frames-per-point", "16",
+     "--refine", "0", "--seed", "-1"],
+    ["stats", "--source", "spa", "--alist", "planted.alist", "--ebn0", "2.4", "--iters", "2",
+     "--frames", "10", "--seed", "-1"],
+    ["predict", "--job", "job.cfg"],
+], ids=["simulate", "richardson", "stats", "predict"])
+def test_negative_seeds_exit_2(tmp_path, planted_alist, capsys, argv):
+    # numpy's SeedSequence rejected them: simulate exited 3, and no
+    # command's message named the seed
+    (tmp_path / "sets.txt").write_text("0 1 2 3\n")
+    (tmp_path / "job.cfg").write_text(f"code = {planted_alist}\nsets = sets.txt\nsnr = 2.6\n"
+                                      "horizon = 2\nsource = spa\ncapture_seed = -1\n")
+    assert main(argv + ["--out", "o"]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not list(tmp_path.glob("o.*"))
+
+
+def test_saturation_phase_needs_a_clamp(tmp_path, planted_alist, capsys):
+    # --sat none ran the clamped phase at 25 while the manifest recorded null
+    (tmp_path / "sets.txt").write_text("0 1 2 3\n")
+    argv = ["richardson", "--alist", planted_alist, "--set", "sets.txt", "--ebn0", "2.4",
+            "--s-points", "1", "--s-lo", "-1.5", "--s-hi", "-1.0", "--frames-per-point", "16",
+            "--refine", "0", "--sat", "none", "--out", "r"]
+    assert main(argv + ["--mode", "saturation-phase"]) == 2
+    assert "--sat" in capsys.readouterr().err
+    assert not list(tmp_path.glob("r.*"))
+    assert main(argv + ["--mode", "exact-match"]) == 0  # an unclamped decoder
+    assert read_manifest(tmp_path, "r")["config"]["sat"] is None
+
+
 def test_non_integral_integers_exit_2(tmp_path, capsys):
     # --iters 2.7 used to run 2 iterations and record iters: 2
     assert main(["dde", "--ebn0", "2.8", "--iters", "2.7", "--out", "d"]) == 2

@@ -49,12 +49,20 @@ def test_channel_pmf_moments():
 
 
 @pytest.mark.parametrize("ebn0_db", [2.5, 2.8, 3.1])
-def test_channel_pmf_matches_scipy_ndtr(monkeypatch, ebn0_db):
+def test_channel_pmf_matches_scipy_ndtr(ebn0_db):
+    # oracle: CDF differences below the mean, upper-tail differences above
+    # it; CDF differences alone round the upper tail to multiples of 2^-53
     cfg = ChannelConfig(ebn0_db, 0.5)
     got = channel_pmf(cfg).probs
-    monkeypatch.setattr(errorfloor.dde, "ndtr", scipy.special.ndtr)
-    want = channel_pmf(cfg).probs
-    assert np.max(np.abs(got - want)) <= 1e-15
+    edges = (np.arange(-DEFAULT_HALF_BINS, DEFAULT_HALF_BINS + 2) - 0.5) * DEFAULT_STEP
+    x = (edges - cfg.mean_llr) / math.sqrt(2.0 * cfg.mean_llr)
+    cdf, tail = scipy.special.ndtr(x), scipy.special.ndtr(-x)
+    want = np.where(x[1:] <= 0, np.diff(cdf), -np.diff(tail))
+    want[0] += cdf[0]
+    want[-1] += tail[-1]
+    keep = want >= 1e-300
+    assert keep.sum() > 3000
+    np.testing.assert_allclose(got[keep], want[keep], rtol=1e-12, atol=0)
 
 
 def test_pmf_length_checked():

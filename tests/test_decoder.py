@@ -14,6 +14,7 @@ import errorfloor.decoder as decoder_mod
 import errorfloor.simharness as simharness_mod
 from errorfloor.decoder import (
     BatchResult,
+    CaptureAccumulator,
     DecoderConfig,
     NonFiniteMessageError,
     _check_pass,
@@ -28,7 +29,6 @@ from errorfloor.decoder import (
     check_update_pairwise,
     decode,
     decode_batch,
-    run_capture,
 )
 from errorfloor.simharness import _rotated_noise
 from errorfloor.tanner import ParityCheckMatrix, random_regular_code, save_alist
@@ -220,14 +220,14 @@ def test_modes_decode_clean_frames(mode, seed):
 def test_run_capture_lengths(code):
     cfg = ChannelConfig(2.8, 0.5)
     dec = DecoderConfig(max_iters=6, saturation=25.0)
-    rows = run_capture(code, [clean_llrs(code, cfg, 50, seed=9)], dec, d_c=6)
-    assert len(rows) == 6
-    assert [r.iteration for r in rows] == list(range(1, 7))
-    for r in rows:
-        assert 0.0 <= r.g_bar <= 1.0
-        assert r.var_ex >= 0.0
+    cap = CaptureAccumulator(6, dec.max_iters)
+    decode_batch(code, clean_llrs(code, cfg, 50, seed=9), dec, capture=cap)
+    m_ex, var_ex, g_bar, p_e = cap.results()
+    assert all(len(col) == 6 for col in (m_ex, var_ex, g_bar, p_e))
+    assert np.all((0.0 <= g_bar) & (g_bar <= 1.0))
+    assert np.all(var_ex >= 0.0)
     # means grow as decoding cleans up the frames
-    assert rows[-1].m_ex > rows[0].m_ex
+    assert m_ex[-1] > m_ex[0]
 
 
 # --- the former signed fwd/bwd check pass, kept as the kernel's oracle ---

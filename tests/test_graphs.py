@@ -1,17 +1,9 @@
-"""Multigraph collapse, 2-core stripping, and the directed-edge state digraph."""
+"""Multigraph collapse and the directed-edge state digraph."""
 
 import numpy as np
 import pytest
 
-from errorfloor.graphs import (
-    Multigraph,
-    load_multigraph,
-    multigraph_submatrix,
-    multigraph_to_digraph,
-    save_multigraph,
-    strip_leaves,
-    subgraph_to_multigraph,
-)
+from errorfloor.graphs import Multigraph, multigraph_to_digraph, subgraph_to_multigraph
 from errorfloor.tanner import ParityCheckMatrix, induce, random_regular_code
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -21,9 +13,6 @@ def test_multigraph_basics():
     G = Multigraph(3, [(0, 1), (1, 0), (1, 2)])  # parallel pair 0-1
     assert G.size == 3
     assert G.degrees().tolist() == [2, 3, 1]
-    A = G.adjacency()
-    assert np.array_equal(A, A.T)
-    assert A[0, 1] == 2 and A[1, 2] == 1
     assert G.connected()
     assert not Multigraph(3, [(0, 1)]).connected()
 
@@ -59,32 +48,6 @@ def test_subgraph_to_multigraph_rejects_non_elementary():
         subgraph_to_multigraph(induce(H, [0, 1, 2]))
 
 
-def test_multigraph_submatrix():
-    G = Multigraph(4, K4_EDGES)
-    HS = multigraph_submatrix(G, 3)
-    assert HS.shape == (6, 4)  # K4 at d_v = 3 needs no degree-1 rows
-    assert set(HS.sum(axis=1).tolist()) == {2}
-    assert HS.sum(axis=0).tolist() == [3, 3, 3, 3]
-
-    P = Multigraph(3, [(0, 1), (1, 2)])  # path: ends need filler rows
-    HS = multigraph_submatrix(P, 3)
-    row_degs = sorted(HS.sum(axis=1).tolist())
-    assert row_degs == [1, 1, 1, 1, 1, 2, 2]
-    assert HS.sum(axis=0).tolist() == [3, 3, 3]
-    with pytest.raises(ValueError):
-        multigraph_submatrix(Multigraph(2, [(0, 1)] * 4), 3)
-
-
-def test_strip_leaves():
-    # triangle 0-1-2 with pendant path 2-3-4
-    G = Multigraph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
-    core, kept = strip_leaves(G)
-    assert kept.tolist() == [0, 1, 2]
-    assert core.size == 3 and core.degrees().tolist() == [2, 2, 2]
-    with pytest.raises(ValueError, match="tree"):
-        strip_leaves(Multigraph(3, [(0, 1), (1, 2)]))
-
-
 def digraph_of(edges, n=None):
     n = 1 + max(max(e) for e in edges) if n is None else n
     return multigraph_to_digraph(Multigraph(n, edges))
@@ -116,20 +79,8 @@ def test_digraph_parallel_edges():
     D = digraph_of([(0, 1), (0, 1)])
     assert D.order == 4
     assert np.all(D.arcs.sum(axis=1) == 1)
-    assert D.n_arcs == 4
 
 
 def test_digraph_requires_connected():
     with pytest.raises(ValueError, match="connected"):
         multigraph_to_digraph(Multigraph(4, [(0, 1), (2, 3)]))
-
-
-def test_save_load_round_trip(tmp_path):
-    G = Multigraph(5, [(0, 1), (0, 1), (3, 4)])
-    p = tmp_path / "g.txt"
-    save_multigraph(G, p)
-    G2 = load_multigraph(p)
-    assert G2.n == 5 and G2.edges == G.edges
-    # without the order header the trailing isolated vertex is dropped
-    p.write_text("0 1\n1 2\n")
-    assert load_multigraph(p).n == 3

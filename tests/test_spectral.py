@@ -6,7 +6,6 @@ import pytest
 from errorfloor.graphs import Multigraph, multigraph_to_digraph
 from errorfloor.spectral import (
     _power_iteration,
-    approx_spectral_radius,
     frobenius_bounds,
     is_irreducible,
     is_primitive,
@@ -104,13 +103,6 @@ def test_period_detection():
     # bipartite-like period 2
     M = np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]], dtype=float)
     assert spectral_summary(M).h == 2
-
-
-def test_approx_radius_lower_bound():
-    for (a, b, d_v, r) in [(3, 1, 3, 1.6956), (4, 2, 3, 1.5214), (4, 0, 3, 2.0)]:
-        est = approx_spectral_radius(a, b, d_v)
-        assert est <= r + 5e-4
-        assert est == pytest.approx(d_v - 1 - b / a)
 
 
 def test_power_iteration_raises_when_not_converged():

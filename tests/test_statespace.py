@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from errorfloor.channel import ChannelConfig, qfunc
-from errorfloor.dde import dde_run
 from errorfloor.floorpred import stats_from_dde
 from errorfloor.statespace import (
     InputStats,
@@ -147,11 +146,6 @@ def test_union_bounds_hand_case():
     fer, ber = union_bounds([1e-3, 1e-5], [2, 3], [4, 5], n=100)
     assert fer == pytest.approx(2e-3 + 3e-5, rel=1e-12)
     assert ber == pytest.approx(2e-3 * 4 / 100 + 3e-5 * 5 / 100, rel=1e-12)
-    fer2, ber2 = union_bounds(
-        [1e-3, 1e-5], [2, 3], [4, 5], n=100, info_bit_counts=[1, 2], k=50
-    )
-    assert fer2 == fer
-    assert ber2 == pytest.approx(2e-3 * 1 / 50 + 3e-5 * 2 / 50, rel=1e-12)
 
 
 def test_ratio_test_verdicts():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from errorfloor.tanner import (
-    InducedSubgraph,
     ParityCheckMatrix,
     classify,
     induce,
@@ -101,9 +100,6 @@ def test_induce_counts():
     assert sub.checks.tolist() == [0, 1, 2]
     assert sub.check_degrees.tolist() == [2, 2, 2]
     assert sub.b == 0
-    HS = sub.submatrix()
-    assert HS.shape == (3, 3)
-    assert HS.sum() == 6
 
 
 def test_induce_rejects_bad_sets():
