@@ -1,15 +1,22 @@
-"""Discretized density evolution and its Gaussian approximation.
+"""Discretized density evolution.
 
 Densities live on a uniform LLR grid (default step 50/2047, support
 +-50); the check transform applies the exact pairwise reduction as a
 density operator on the quantized pair table (Chung, Forney,
 Richardson & Urbanke 2001), the variable transform is plain
-convolution.  The table entry for bins (i, j) is sign(i) sign(j)
-min(|i|, |j|) except inside a band ||i| - |j|| <= W, so the operator
-takes the min part from tail sums in O(N) and only the band, held as
-precomputed bins per grid, through a bincount.  Decoder saturation is
-modeled by sweeping tail mass onto the clamp bins after each check
-transform.
+convolution over the inputs' nonzero spans.  The table entry for bins
+(i, j) is sign(i) sign(j) min(|i|, |j|) except inside a band
+||i| - |j|| <= W, so the operator works in three parts:
+- off the band, the min part comes from tail sums in O(N);
+- on the band, pairs whose smaller magnitude m is at least p0 land on
+  +-(m + g(u)), where g is fixed on groups of gaps u = ||i| - |j||: one
+  window sum of the other input per group and one slice add per group
+  and sign class;
+- the band pairs with m < p0 go through a bincount over precomputed
+  bins.
+W, p0 and the gap groups are derived from the table the first time a
+grid is used.  Decoder saturation is modeled by sweeping tail mass onto
+the clamp bins after each check transform.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -46,27 +54,58 @@ def _pair_bins(a: np.ndarray, b: np.ndarray, delta: float) -> np.ndarray:
     return np.rint(r / delta).astype(np.intp)
 
 
+class _Band(NamedTuple):
+    """The band of the pair table on one grid, split for `Pmf.check_pair`.
+
+    A band pair has smaller magnitude m and gap u <= w to the larger one.
+    From magnitude p0 on, each pair's output bin is +-(m + shift[c, g])
+    in sign class c, with g the group of u: `starts` holds the first gap
+    of each group, and the groups tile 0..w.  Pairs with m < p0 keep
+    their bins (+ half), laid out (m, sign class, u) in `low_x` for u in
+    0..w and in `low_y` for u in 1..w; the table is symmetric,
+    R(a, b) = R(b, a) bit for bit, so both orientations share them."""
+
+    w: int
+    p0: int
+    low_x: np.ndarray
+    low_y: np.ndarray
+    starts: np.ndarray
+    shift: np.ndarray
+
+
 _BAND_CACHE: dict = {}
 
 
-def _band(delta: float, half: int) -> tuple[int, np.ndarray]:
-    """Band width W and the output offsets (bin + half) of the pair
-    table on the band, laid out (p, sign class, d) for magnitude pairs
-    (p, p + d), p in 1..half, d in -W..W; sign class 0 is same-sign,
-    1 opposite-sign.  R(-a, -b) = R(a, b) and R(-a, b) = R(a, -b) hold
-    bit for bit, so (+p, +q) and (+p, -q) stand for their classes.
-    Pairs with p + d off the grid carry zero weight and point at the
-    zero bin."""
+def _band(delta: float, half: int) -> _Band:
+    """Pair table on the band for magnitude pairs (m, m + u), m in
+    1..half, u in 0..w; sign class 0 is same-sign, 1 opposite-sign.
+    R(-a, -b) = R(a, b) and R(-a, b) = R(a, -b) hold bit for bit, so
+    (+m, +q) and (+m, -q) stand for their classes.  Pairs with m + u off
+    the grid carry zero weight and point at the zero bin.
+
+    p0 is the smallest magnitude from which every on-grid pair's output
+    magnitude minus m depends only on (class, u).  The shift is claimed
+    only where every gap is seen on at least two magnitudes; otherwise
+    the grid has no shifted region and p0 is half + 1."""
     key = (round(delta, 12), half)
     if key not in _BAND_CACHE:
         w = min(_band_width(delta), half - 1)
-        mag = np.arange(1, half + 1)
-        q = mag[:, None] + np.arange(-w, w + 1)[None, :]
-        a = mag[:, None].astype(float) * delta
-        b = q.astype(float) * delta
+        gaps = np.arange(w + 1)
+        m = np.arange(1, half + 1)[:, None]
+        q = m + gaps
+        a, b = m.astype(float) * delta, q.astype(float) * delta
         idx = np.stack([_pair_bins(a, b, delta), _pair_bins(a, -b, delta)], axis=1)
-        on_grid = ((q >= 1) & (q <= half))[:, None, :]
-        _BAND_CACHE[key] = (w, np.where(on_grid, idx, 0).ravel() + half)
+        on_grid = (q <= half)[:, None, :]
+        shift = idx * np.array([1, -1])[:, None] - m[:, :, None]
+        top = shift[half - 1 - gaps, :, gaps]  # (u, class) at the largest on-grid m
+        varies = (shift != top.T) & on_grid
+        p0 = int(np.flatnonzero(varies.any(axis=(1, 2))).max(initial=-1)) + 2
+        if p0 + w >= half:
+            p0 = half + 1
+        low = np.where(on_grid, idx, 0)[: p0 - 1] + half
+        starts = np.flatnonzero(np.r_[True, (top[1:] != top[:-1]).any(axis=1)])
+        _BAND_CACHE[key] = _Band(w, p0, low.ravel(), low[:, :, 1:].ravel(), starts,
+                                 np.ascontiguousarray(top[starts].T))
     return _BAND_CACHE[key]
 
 
@@ -78,6 +117,52 @@ def _tail_beyond(v: np.ndarray, w: int) -> np.ndarray:
     if n > 0:
         tail[:n] = np.cumsum(v[::-1], axis=0)[::-1][w + 1 :]  # small tail terms summed first
     return tail
+
+
+def _support(p: np.ndarray) -> tuple[np.ndarray, int]:
+    """The span of p from its first to its last nonzero entry, and the
+    index where it starts."""
+    nz = np.flatnonzero(p)
+    if nz.size == 0:
+        return p[:1], 0
+    return p[nz[0] : nz[-1] + 1], int(nz[0])
+
+
+def _add_shifted(out: np.ndarray, band: _Band, xs: np.ndarray, ys: np.ndarray) -> None:
+    """Add the band pairs with smaller magnitude m >= p0 into `out`.
+
+    Row k - 1 of xs and ys holds (mass at +k, mass at -k), zero beyond
+    magnitude half.  Per gap group, x's masses at m meet y's window sum
+    over m + u, and y's masses at m meet x's over m + u with u >= 1; the
+    group's pairs land on +-(m + shift), one slice per sign class."""
+    h, w, n = (len(out) - 1) // 2, band.w, band.p0 - 1
+    size, count = h - n + w, h - n  # block: magnitudes p0 .. h + w; m: p0 .. h
+    # blocks y+, y-, x+, x-, then w + 1 zeros so every window is whole
+    flat = np.concatenate([ys[n:].T.ravel(), xs[n:].T.ravel(), np.zeros(w + 1)])
+    mass = np.stack([xs[n:h, 0], xs[n:h, 1], ys[n:h, 0], ys[n:h, 1]])
+    pairing = np.stack([mass, mass[[1, 0, 3, 2]]])  # same-sign, opposite-sign
+    lengths = np.diff(np.r_[band.starts, w + 1])
+    # y at m meets x at m + u for u >= 1 only, so the diagonal counts once
+    x_diag = np.zeros((2, count))
+    for u in range(1, lengths[0]):
+        x_diag += flat[2 * size + u : 4 * size + u].reshape(2, size)[:, :count]
+    # acc[i] sums flat[i : i + length] directly: differences of prefix
+    # sums would lose the tiny tail masses
+    acc, length = flat.copy(), 1
+    rev = out[::-1]  # rev[h + k] is out[h - k]
+    for g in np.argsort(lengths, kind="stable"):
+        while length < lengths[g]:
+            length += 1
+            acc[: 1 - length] += flat[length - 1 :]
+        lo = band.starts[g]
+        win = acc[lo : lo + 4 * size].reshape(4, size)[:, :count]
+        if g == 0:
+            win = np.concatenate([win[:2], x_diag])
+        both = np.einsum("ckm,km->cm", pairing, win)
+        k = count - lo  # magnitudes p0 .. h - lo have their window on the grid
+        s = h + band.p0 + band.shift[:, g]
+        out[s[0] : s[0] + k] += both[0, :k]
+        rev[s[1] : s[1] + k] += both[1, :k]
 
 
 @dataclass
@@ -103,8 +188,11 @@ class Pmf:
         return float(self.grid @ self.probs)
 
     def variance(self) -> float:
-        m = self.mean()
-        return max(float((self.grid**2) @ self.probs - m * m), 0.0)
+        """Second moment about the mean, in two passes: E[x^2] - m^2
+        would cancel two numbers near clamp^2 once the clamp holds.  The
+        second term removes the rounding error of m to first order."""
+        d = self.grid - self.mean()
+        return max(float(self.probs @ d**2 - (self.probs @ d) ** 2), 0.0)
 
     def tanh_mean(self) -> float:
         return float(np.tanh(self.grid / 2.0) @ self.probs)
@@ -136,11 +224,15 @@ class Pmf:
 
     def convolve(self, other: "Pmf") -> "Pmf":
         """Sum of independent variables; out-of-range mass accumulates on
-        the boundary bins (the grid's own saturation)."""
+        the boundary bins (the grid's own saturation).  Only the nonzero
+        span of each input is convolved: a saturated check pmf is zero
+        beyond its clamp bins."""
         if (self.delta, self.half) != (other.delta, other.half):
             raise ValueError("incompatible grids")
-        full = np.convolve(self.probs, other.probs)
-        h = self.half  # full covers grid indices -2h .. +2h
+        h = self.half
+        (a, i), (b, j) = _support(self.probs), _support(other.probs)
+        full = np.zeros(4 * h + 1)  # grid indices -2h .. +2h
+        full[i + j : i + j + a.size + b.size - 1] = np.convolve(a, b)
         p = full[h : 3 * h + 1].copy()
         p[0] += full[:h].sum()
         p[-1] += full[3 * h + 1 :].sum()
@@ -149,26 +241,42 @@ class Pmf:
     def check_pair(self, other: "Pmf") -> "Pmf":
         """Density of R(X, Y) for independent X ~ self, Y ~ other.
 
-        Exact for the quantized pair table: pairs whose magnitudes are
-        more than W bins apart land on sign * min, gathered in O(N) from
-        tail sums; the band of the remaining pairs goes through one
-        bincount over precomputed bins.  A zero input maps to bin 0."""
+        Exact for the quantized pair table, in three parts:
+        - pairs whose magnitudes are more than W bins apart land on
+          sign * min, gathered in O(N) from tail sums;
+        - band pairs whose smaller magnitude m is at least p0 land on
+          +-(m + shift), with the shift fixed on each group of gaps: the
+          other input's mass over a group's gaps is one window sum, and
+          each group and sign class adds into the output with one slice;
+        - the band pairs with m < p0 go through one bincount over
+          precomputed bins.
+        A zero input maps to bin 0."""
         if (self.delta, self.half) != (other.delta, other.half):
             raise ValueError("incompatible grids")
         h = self.half
-        w, bins = _band(self.delta, h)
+        band = _band(self.delta, h)
+        w, n = band.w, band.p0 - 1
         x, y = self.probs, other.probs
-        # row k - 1: (mass at +k, mass at -k)
-        xs = np.stack([x[h + 1 :], x[:h][::-1]], axis=1)
-        ys = np.stack([y[h + 1 :], y[:h][::-1]], axis=1)
+        # row k - 1: (mass at +k, mass at -k), zero beyond magnitude h
+        xs = np.pad(np.stack([x[h + 1 :], x[:h][::-1]], axis=1), ((0, w), (0, 0)))
+        ys = np.pad(np.stack([y[h + 1 :], y[:h][::-1]], axis=1), ((0, w), (0, 0)))
 
-        # band: row k - 1 of y_win holds y at magnitudes k - w .. k + w;
-        # same-sign weight x+ y+ + x- y-, opposite-sign x- y+ + x+ y-
-        y_win = sliding_window_view(np.pad(ys, ((w, w), (0, 0))), 2 * w + 1, axis=0)
-        pairing = np.stack([xs, xs[:, ::-1]], axis=1)
-        out = np.bincount(bins, weights=(pairing @ y_win).ravel(), minlength=2 * h + 1)
+        # band, m < p0: x at m against y at m + u (u >= 0), then y at m
+        # against x at m + u (u >= 1); same-sign weight x+ y+ + x- y-,
+        # opposite-sign x- y+ + x+ y-
+        y_win = sliding_window_view(ys, w + 1, axis=0)[:n]
+        x_win = sliding_window_view(xs[1:], w, axis=0)[:n]
+        wx = np.stack([xs[:n], xs[:n, ::-1]], axis=1) @ y_win
+        wy = np.stack([ys[:n], ys[:n, ::-1]], axis=1) @ x_win
+        out = np.zeros(2 * h + 1)  # bincount of no weights would be integer
+        out += np.bincount(band.low_x, weights=wx.ravel(), minlength=2 * h + 1)
+        out += np.bincount(band.low_y, weights=wy.ravel(), minlength=2 * h + 1)
+
+        if band.p0 <= h:
+            _add_shifted(out, band, xs, ys)
 
         # off the band: the smaller magnitude k is the output magnitude
+        xs, ys = xs[:h], ys[:h]
         tx, ty = _tail_beyond(xs, w), _tail_beyond(ys, w)
         out[h + 1 :] += (xs * ty).sum(axis=1) + (ys * tx).sum(axis=1)
         out[:h][::-1] += (xs * ty[:, ::-1]).sum(axis=1) + (ys * tx[:, ::-1]).sum(axis=1)
@@ -258,72 +366,6 @@ def dde_run(
     return DDEResult(
         np.array(m_ex), np.array(var_ex), np.array(g_bar), np.array(p_e), np.array(m_vc), cv, vc
     )
-
-
-# ---------------------------------------------------------------------------
-# Gaussian approximation
-
-_SQRT_PI = math.sqrt(math.pi)
-
-
-def phi(x: float) -> float:
-    """phi(x) = 1 - E[tanh(u/2)] for u ~ N(x, 2x); phi(0) = 1.
-
-    Integrates 1 - tanh(u/2) = 2 e^-u / (1 + e^-u), which is positive,
-    so adaptive quadrature controls the relative error of phi itself
-    even deep in the tail.  Above x = 700 the integrand underflows and
-    the tight upper asymptote sqrt(pi/x) e^{-x/4} (1 - 1/(7x)) takes
-    over."""
-    from scipy.integrate import quad  # not at module level: no CLI run calls phi
-
-    if x < 0:
-        raise ValueError("phi domain is x >= 0")
-    if x == 0:
-        return 1.0
-    if x > 700:
-        return math.sqrt(math.pi / x) * math.exp(-x / 4.0) * (1.0 - 1.0 / (7.0 * x))
-    s = 2.0 * math.sqrt(x)
-
-    def integrand(t):
-        u = x + s * t
-        if u >= 0:
-            e = math.exp(-u)
-            g = 2.0 * e / (1.0 + e)
-        else:
-            g = 2.0 / (1.0 + math.exp(u))
-        return g * math.exp(-t * t)
-
-    # the integrand's second hump sits near t = -sqrt(x)/2 (where tanh
-    # transitions); make sure the range covers it for large x
-    lo = min(-12.0, -0.5 * math.sqrt(x) - 12.0)
-    val, _ = quad(integrand, lo, 12.0, epsabs=0.0, epsrel=1e-11, limit=400,
-                  points=[-0.5 * math.sqrt(x)] if x > 100 else None)
-    return val / _SQRT_PI
-
-
-def phi_inv(y: float, lo: float = 1e-12, hi: float = 5000.0) -> float:
-    """Inverse of phi by bisection (phi is strictly decreasing)."""
-    if not 0.0 < y <= 1.0:
-        raise ValueError("phi_inv domain is (0, 1]")
-    if y == 1.0:
-        return 0.0
-    if phi(hi) > y:
-        raise ValueError("y below phi(hi); raise hi")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if phi(mid) > y:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
-
-
-def gaussian_de_step(m_prev: float, cfg: ChannelConfig, d_v: int, d_c: int) -> float:
-    """One Gaussian-approximation DE update of the check-output mean."""
-    x = cfg.mean_llr + (d_v - 1) * m_prev
-    return phi_inv(1.0 - (1.0 - phi(x)) ** (d_c - 1))
 
 
 def growth_threshold_regular(d_v: int, d_c: int, delta: float = 1.0) -> float:

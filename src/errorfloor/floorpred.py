@@ -31,7 +31,7 @@ from .statespace import (
 from .tanner import ParityCheckMatrix, induce, load_alist, load_trapping_sets
 
 CACHE_ENV = "ERRORFLOOR_CACHE_DIR"
-CACHE_SCHEMA = "v3"  # bump when the key or the stats files change
+CACHE_SCHEMA = "v4"  # bump when the key or the stats files change
 
 
 @dataclass(frozen=True)

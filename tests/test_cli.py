@@ -458,7 +458,7 @@ print(json.dumps(seen))
 
 def test_no_cli_path_imports_scipy(tmp_path, alist, planted_alist):
     # importing scipy costs more than half a second of every CLI run, so
-    # only dde.phi (not on any CLI path) and the tests may use it
+    # only the tests may use it
     (tmp_path / "sets.txt").write_text("0 1 2 3\n")
     (tmp_path / "job.cfg").write_text(
         f"code = {planted_alist}\nsets = sets.txt\nsnr = 2.8\nhorizon = 2\n"

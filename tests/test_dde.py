@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.special
+from numpy.lib.stride_tricks import sliding_window_view
 
 import errorfloor.dde
 from errorfloor.channel import ChannelConfig
@@ -15,16 +16,16 @@ from errorfloor.dde import (
     DEFAULT_HALF_BINS,
     DEFAULT_STEP,
     Pmf,
+    _band,
     _band_width,
+    _pair_bins,
+    _tail_beyond,
     channel_pmf,
     check_transform,
     dde_run,
-    gaussian_de_step,
     growth_threshold_irregular,
     growth_threshold_pointwise,
     growth_threshold_regular,
-    phi,
-    phi_inv,
     pointwise_crossing,
 )
 
@@ -158,6 +159,38 @@ def dense_check_pair(x, y, delta, half):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def band_rows(delta, half):
+    """Band width W and the band's bins (+ half), laid out (p, sign
+    class, d) for magnitude pairs (p, p + d), p in 1..half, d in -W..W."""
+    w = min(_band_width(delta), half - 1)
+    mag = np.arange(1, half + 1)
+    q = mag[:, None] + np.arange(-w, w + 1)[None, :]
+    a = mag[:, None].astype(float) * delta
+    b = q.astype(float) * delta
+    idx = np.stack([_pair_bins(a, b, delta), _pair_bins(a, -b, delta)], axis=1)
+    on_grid = ((q >= 1) & (q <= half))[:, None, :]
+    return w, np.where(on_grid, idx, 0).ravel() + half
+
+
+def banded_check_pair(self, other):
+    """Pmf.check_pair before gap groups: tail sums off the band and one
+    bincount over every band pair.  Oracle for the grouped operator."""
+    h = self.half
+    w, bins = band_rows(self.delta, h)
+    x, y = self.probs, other.probs
+    xs = np.stack([x[h + 1 :], x[:h][::-1]], axis=1)
+    ys = np.stack([y[h + 1 :], y[:h][::-1]], axis=1)
+    y_win = sliding_window_view(np.pad(ys, ((w, w), (0, 0))), 2 * w + 1, axis=0)
+    pairing = np.stack([xs, xs[:, ::-1]], axis=1)
+    out = np.bincount(bins, weights=(pairing @ y_win).ravel(), minlength=2 * h + 1)
+    tx, ty = _tail_beyond(xs, w), _tail_beyond(ys, w)
+    out[h + 1 :] += (xs * ty).sum(axis=1) + (ys * tx).sum(axis=1)
+    out[:h][::-1] += (xs * ty[:, ::-1]).sum(axis=1) + (ys * tx[:, ::-1]).sum(axis=1)
+    out[h] += x[h] * y.sum() + y[h] * xs.sum()
+    return Pmf(out, self.delta, self.half)
+
+
 def oracle_inputs(half, seed):
     rng = np.random.default_rng(seed)
     size = 2 * half + 1
@@ -208,6 +241,70 @@ def test_pair_table_is_signed_min_off_the_band(delta, half):
     assert _band_width(delta) - 3 <= widest <= _band_width(delta)
 
 
+def test_shifted_region_derived_from_the_table():
+    T = full_pair_table(DEFAULT_STEP, DEFAULT_HALF_BINS)
+    band = _band(DEFAULT_STEP, DEFAULT_HALF_BINS)
+    h, w = DEFAULT_HALF_BINS, band.w
+    m = np.arange(1, h + 1)[:, None]
+    u = np.arange(w + 1)
+    on_grid = m + u <= h
+    rows, cols = np.broadcast_to(m, on_grid.shape)[on_grid], np.broadcast_to(u, on_grid.shape)[on_grid]
+    group = np.searchsorted(band.starts, cols, side="right") - 1
+    varies = np.zeros(on_grid.shape, dtype=bool)
+    for c, sign in ((0, 1), (1, -1)):
+        got = sign * T[h + rows, h + sign * (rows + cols)].astype(int)
+        varies[on_grid] |= got != rows + band.shift[c, group]
+    # p0 is the smallest magnitude from which the shift holds
+    assert band.p0 == 155 and band.starts.size == 29
+    assert not varies[band.p0 - 1 :].any() and varies[band.p0 - 2].any()
+    # a band row p of the old (p, d) layout pairs p with p +- u, so it is
+    # shift-invariant only from the largest varying pair's m + u on
+    bad_m, bad_u = np.nonzero(varies)
+    assert (bad_m + 1 + bad_u).max() + 1 == 304
+    # every gap seen once on a tiny grid is no evidence: no shifted region
+    tiny = _band(0.5, 3)
+    assert tiny.p0 == 4
+
+
+def folded_convolve(x, y, half):
+    """Full np.convolve, with the mass beyond the grid on its edge bins."""
+    full = np.convolve(x, y)
+    p = full[half : 3 * half + 1].copy()
+    p[0] += full[:half].sum()
+    p[-1] += full[3 * half + 1 :].sum()
+    return p
+
+
+def test_convolve_on_the_nonzero_span_matches_full_convolution():
+    half, delta = 60, 0.5
+    rng = np.random.default_rng(5)
+    dense = rng.random(2 * half + 1) + 0.1  # full support: nothing trimmed
+    dense /= dense.sum()
+    gapped = rng.random(2 * half + 1)
+    gapped[:17] = gapped[-40:] = 0.0  # zeros on both sides
+    gapped /= gapped.sum()
+    edges = []
+    for k in (-half, half):  # point masses whose sums fold onto the edges
+        edges.append(np.zeros(2 * half + 1))
+        edges[-1][half + k] = 1.0
+    cases = [(dense, dense), (dense, gapped), (gapped, gapped), (gapped, edges[0]),
+             (edges[1], dense), (edges[0], edges[0]), (edges[1], edges[1])]
+    for x, y in cases:
+        got = Pmf(x, delta, half).convolve(Pmf(y, delta, half)).probs
+        want = folded_convolve(x, y, half)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+    assert got[-1] == 1.0  # +half + half folds onto +half
+
+
+def test_variance_keeps_mass_near_the_clamp():
+    # E[x^2] - m^2 cancels to 0 here: both terms are ~625
+    h, k = DEFAULT_HALF_BINS, int(round(25.0 / DEFAULT_STEP))
+    p = np.zeros(2 * h + 1)
+    p[h + k] = 1.0 - 1e-20
+    p[h + k - 1] = 1e-20
+    assert Pmf(p).variance() == pytest.approx(1e-20 * DEFAULT_STEP**2, rel=1e-9, abs=0)
+
+
 def test_check_transform_degree_two_is_identity_shape():
     a = small_pmf(1.5, 1.2)
     out = check_transform(a, 2)
@@ -238,9 +335,37 @@ def test_dde_run_matches_scipy_ndtr_channel(monkeypatch, d_v, d_c, ebn0_db, sat)
     want = dde_run(d_v, d_c, cfg, n_iters=8, saturation=sat)
     for key in ("m_ex", "g_bar", "p_e", "m_vc"):
         np.testing.assert_allclose(getattr(got, key), getattr(want, key), rtol=1e-9, atol=0)
-    # once the clamp holds, var_ex is E[x^2] - E[x]^2 of two ~clamp^2 numbers,
-    # whose last digits are rounding noise: compare it relative to max(|var_ex|, 1)
-    np.testing.assert_allclose(got.var_ex, want.var_ex, rtol=1e-9, atol=1e-9)
+    np.testing.assert_allclose(got.var_ex, want.var_ex, rtol=1e-9, atol=0)
+
+
+DDE_CASES = [(d_v, d_c, ebn0_db, sat) for d_v, d_c in ((3, 6), (4, 8)) for ebn0_db in (2.5, 2.8, 3.1)
+             for sat in (15.0, 25.0, None)] + [(6, 32, 2.8, 25.0)]
+
+
+@pytest.mark.parametrize("d_v, d_c, ebn0_db, sat", DDE_CASES)
+def test_dde_run_matches_banded_oracle(monkeypatch, d_v, d_c, ebn0_db, sat):
+    cfg = ChannelConfig(ebn0_db, 1 - d_v / d_c)
+    n_iters = 2 if d_c > 8 else 4
+    got = dde_run(d_v, d_c, cfg, n_iters=n_iters, saturation=sat)
+    monkeypatch.setattr(Pmf, "check_pair", banded_check_pair)
+    want = dde_run(d_v, d_c, cfg, n_iters=n_iters, saturation=sat)
+    for key in ("m_ex", "var_ex", "g_bar", "p_e", "m_vc"):
+        np.testing.assert_allclose(getattr(got, key), getattr(want, key), rtol=1e-9, atol=0,
+                                   err_msg=key)
+    for key in ("check_pmf", "vc_pmf"):
+        np.testing.assert_allclose(getattr(got, key).probs, getattr(want, key).probs,
+                                   rtol=1e-9, atol=0, err_msg=key)
+
+
+def test_dde_run_matches_banded_oracle_once_the_clamp_holds(monkeypatch):
+    # from iteration 12 on, var_ex is ~1e-24: only mass next to the clamp bin
+    cfg = ChannelConfig(3.1, 0.5)
+    got = dde_run(3, 6, cfg, n_iters=14, saturation=25.0)
+    monkeypatch.setattr(Pmf, "check_pair", banded_check_pair)
+    want = dde_run(3, 6, cfg, n_iters=14, saturation=25.0)
+    assert 0.0 < want.var_ex[-1] < 1e-20
+    np.testing.assert_allclose(got.var_ex, want.var_ex, rtol=1e-9, atol=0)
+    np.testing.assert_allclose(got.check_pmf.probs, want.check_pmf.probs, rtol=1e-9, atol=0)
 
 
 @pytest.mark.parametrize("d_v, d_c", [(1, 6), (0, 6), (3, 1), (3, 0)])
@@ -256,28 +381,6 @@ def test_dde_saturation_beyond_grid_warns():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         dde_run(3, 6, CFG, n_iters=1, saturation=25.0)
-
-
-def test_phi_round_trip():
-    assert phi(0.0) == pytest.approx(1.0)
-    for x in [0.3, 2.0, 11.0, 40.0, 300.0]:
-        assert phi_inv(phi(x)) == pytest.approx(x, rel=1e-6)
-    assert phi(800.0) > 0.0  # asymptotic branch stays positive
-    xs = np.linspace(0.01, 50, 200)
-    vals = np.array([phi(float(x)) for x in xs])
-    assert np.all(np.diff(vals) < 0)
-    with pytest.raises(ValueError):
-        phi_inv(1.5)
-
-
-def test_gaussian_de_tracks_dde_variable_mean():
-    res = dde_run(3, 6, CFG, n_iters=6, saturation=None)
-    m_gauss = 0.0
-    for l in range(6):
-        m_gauss = gaussian_de_step(m_gauss, CFG, 3, 6)
-        full_dde = CFG.mean_llr + 2 * res.m_ex[l]
-        full_gauss = CFG.mean_llr + 2 * m_gauss
-        assert full_gauss == pytest.approx(full_dde, rel=0.05)
 
 
 def test_growth_threshold_regular_value():
