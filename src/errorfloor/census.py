@@ -3,12 +3,29 @@
 For variable degree d_v, an (a, b) elementary absorbing set collapses to
 a connected simple graph of order a, size (a*d_v - b)/2, with every
 vertex degree strictly above d_v/2 (the strict-majority condition) and
-at most d_v.  Graphs are generated by vertex augmentation with
-canonical-certificate deduplication at every level, in one chain per d_v
-that serves every order; a parent is augmented by one vertex subset per
-orbit of its automorphisms, which the certificate search finds as it
-prunes.  Each class is then ranked by the spectral radius of its state
-digraph.
+at most d_v.  Graphs are generated by vertex augmentation, in one chain
+per d_v that serves every order.  A parent is augmented by one vertex
+subset per orbit of its automorphisms, which the certificate search finds
+as it prunes.  A child is kept only if its new vertex lies in its
+canonical deletion class, the least-degree vertices with the largest
+color under refinement seeded by the degrees (the pre-test of McKay's
+canonical augmentation); a canonical certificate then removes the
+remaining duplicates.  The filter loses no class:
+
+- the class is an isomorphism invariant;
+- the chain's degree-deficit pruning still holds after deleting any
+  vertex v: each deficit grows by at most 1 while the vertices still to
+  come grow by 1, and the total grows by at most deg(v) <= d_v while its
+  budget grows by d_v;
+- so a class of order k+1 minus a vertex of its deletion class is a class
+  of order k in the chain, and the orbit representative of the deleted
+  vertex's neighbourhood yields a child isomorphic to it whose new vertex
+  lies in the deletion class.
+
+Only the automorphisms the search found are used, which may generate a
+subgroup: smaller orbits cost duplicates, which the certificate removes,
+never classes.  Each class is then ranked by the spectral radius of its
+state digraph.
 """
 
 from __future__ import annotations
@@ -126,14 +143,6 @@ def canonical_cert(adj, autos: list | None = None) -> tuple:
     return best[0]
 
 
-def _cert_of_edges(n, edges, autos=None) -> tuple:
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return canonical_cert(adj, autos)
-
-
 # d_v -> levels of the augmentation chain, indexed by order: each level a
 # list of (edges, automorphism generators), one per isomorphism class
 _CENSUS_CACHE: dict = {}
@@ -164,26 +173,36 @@ def _build_chain(a_max: int, d_v: int) -> list:
         nxt: dict = {}  # cert -> (edges, automorphism generators)
         future = a_max - (k + 1)
         for edges, autos in level:
-            deg = [0] * k
+            adj = [[] for _ in range(k)]
             for u, v in edges:
-                deg[u] += 1
-                deg[v] += 1
+                adj[u].append(v)
+                adj[v].append(u)
+            deg = [len(nbrs) for nbrs in adj]
             free = [v for v in range(k) if deg[v] < d_v]
-            for subset in _subset_reps(free, d_v, autos):
-                new_edges = edges + tuple((v, k) for v in subset)
+            # the new vertex must end up of least degree (degree cut)
+            for subset in _subset_reps(free, min(d_v, min(deg) + 1), autos):
                 ndeg = deg + [len(subset)]
                 for v in subset:
                     ndeg[v] += 1
+                low = min(ndeg)
+                if len(subset) > low:
+                    continue
                 # each remaining vertex can feed one simple edge per
                 # deficient vertex and d_v edge endpoints in total
                 if any(dmin - d > future for d in ndeg):
                     continue
                 if sum(max(0, dmin - d) for d in ndeg) > future * d_v:
                     continue
+                cadj = [nbrs + [k] if v in subset else nbrs for v, nbrs in enumerate(adj)]
+                cadj.append(list(subset))
+                # color cut: k must be in the canonical deletion class
+                col = _refine(cadj, ndeg)
+                if col[k] != max(c for c, d in zip(col, ndeg) if d == low):
+                    continue
                 found: list = []
-                cert = _cert_of_edges(k + 1, new_edges, found)
+                cert = canonical_cert(cadj, found)
                 if cert not in nxt:
-                    nxt[cert] = (new_edges, found)
+                    nxt[cert] = (edges + tuple((v, k) for v in subset), found)
         level = list(nxt.values())
         levels.append(level)
     return levels

@@ -45,7 +45,7 @@ _SPECS = {
     "simulate": {
         "alist": (str, None, "parity-check matrix (alist format)"),
         "ebn0": (float, None, "Eb/N0 in dB"),
-        "rate": (float, None, "code rate; default (n-m)/n from the alist"),
+        "rate": (float, None, "code rate; default (n - rank(H))/n from the alist"),
         "sat": (_sat, 25.0, "LLR clamp at check output; 'none' disables"),
         "mode": (str, "pairwise", "check update: pairwise|exact-tanh|approx|min-sum"),
         "max_iters": (_i, 50, "decoding iterations"),
@@ -87,7 +87,7 @@ _SPECS = {
         "alist": (str, None, "parity-check matrix (alist format)"),
         "set": (str, None, "failure-set file; first line is used"),
         "ebn0": (float, None, "Eb/N0 in dB"),
-        "rate": (float, None, "code rate; default (n-m)/n from the alist"),
+        "rate": (float, None, "code rate; default (n - rank(H))/n from the alist"),
         "mode": (str, "exact-match", "exact-match|saturation-phase"),
         "sat": (_sat, 25.0, "decoder clamp (exact-match) / phase-2 clamp"),
         "sat_iters": (_i, 20, "saturated iterations (saturation-phase)"),
@@ -109,7 +109,7 @@ _SPECS = {
         "dv": (_i, 3, "variable degree (dde source)"),
         "dc": (_i, 6, "check degree (dde source)"),
         "ebn0": (float, None, "Eb/N0 in dB"),
-        "rate": (float, None, "code rate; default 1 - dv/dc or from the alist"),
+        "rate": (float, None, "code rate; default (n - rank(H))/n from the alist, else 1 - dv/dc"),
         "sat": (_sat, 25.0, "LLR clamp; 'none' disables"),
         "iters": (_i, 20, "iterations to collect"),
         "frames": (_i, 100, "capture frames (spa source)"),
@@ -182,7 +182,7 @@ def _load_code(path: str):
 
 
 def _rate_of(cfg_rate, H) -> float:
-    return cfg_rate if cfg_rate is not None else (H.n_vars - H.n_chks) / H.n_vars
+    return cfg_rate if cfg_rate is not None else H.rate()
 
 
 def _build(ctor, *args, **kwargs):

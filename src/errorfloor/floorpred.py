@@ -371,7 +371,8 @@ _JOB_KEYS = {
 
 def load_job(path) -> PredictionJob:
     """Flat key-value job file; relative paths resolve against the file.
-    Keys left out take PredictionJob's defaults, and the rate (n - m)/n."""
+    Keys left out take PredictionJob's defaults; the rate defaults to
+    (n - rank(H))/n, with the rank over GF(2)."""
     base = Path(path).parent
     kv = read_key_values(path)
     for k in ("code", "sets", "snr"):
@@ -389,5 +390,5 @@ def load_job(path) -> PredictionJob:
             raise ValueError(f"bad value for {k!r}: {e}") from None
     H = load_alist(base / kv["code"])
     sets = tuple(tuple(map(int, s)) for s in load_trapping_sets(base / kv["sets"]))
-    fields.setdefault("rate", (H.n_vars - H.n_chks) / H.n_vars)
+    fields.setdefault("rate", H.rate())
     return PredictionJob(H=H, sets=sets, snr_grid=fields.pop("snr"), **fields)

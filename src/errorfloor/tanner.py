@@ -44,6 +44,25 @@ class ParityCheckMatrix:
             H[c, row] = 1
         return H
 
+    def rate(self) -> float:
+        """Code rate (n - rank(H))/n, with the rank over GF(2): dependent
+        checks add no constraint.  Rows are packed 64 columns to a word
+        and each nonzero row, in turn, clears its lowest set bit from the
+        rows below it."""
+        packed = np.packbits(self.dense(), axis=1, bitorder="little")
+        rows = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(np.uint64)
+        rank = 0
+        for i, row in enumerate(rows):
+            nz = np.flatnonzero(row)
+            if not len(nz):
+                continue
+            rank += 1
+            w = nz[0]
+            bit = row[w] & ~(row[w] - np.uint64(1))
+            below = rows[i + 1:]
+            below[(below[:, w] & bit) != 0] ^= row
+        return (self.n_vars - rank) / self.n_vars
+
     @classmethod
     def from_dense(cls, H) -> "ParityCheckMatrix":
         H = np.asarray(H)

@@ -218,8 +218,15 @@ def _adj_of(n, edges):
 
 
 def _oracle_augmented_census(a, d_v):
+    return _oracle_chain(a, d_v)[a]
+
+
+def _oracle_chain(a, d_v):
+    """Every level of the per-order augmentation with the pruning set for
+    order `a`, each a list of edge tuples, one per class."""
     dmin = d_v // 2 + 1
     level = {(): ()}
+    levels = [[], [()]]
     for k in range(1, a):
         nxt: dict = {}
         for edges in level.values():
@@ -243,7 +250,8 @@ def _oracle_augmented_census(a, d_v):
                     if cert not in nxt:
                         nxt[cert] = new_edges
         level = nxt
-    return list(level.values())
+        levels.append(list(level.values()))
+    return levels
 
 
 def _random_graphs(rng, count, n_max):
@@ -302,6 +310,37 @@ def test_classes_match_per_order_oracle(d_v, monkeypatch):
         assert len(got) == len(set(got))  # one graph per class
         assert set(got) == want
         assert _window_certs(d_v, a, _augmented_census(a, d_v)) == want
+
+
+@pytest.mark.parametrize("d_v", [2, 3, 4, 5, 6])
+def test_every_chain_level_matches_the_oracle(d_v, monkeypatch):
+    # all classes, not only the census window: a filter that drops an
+    # intermediate class shows here even when no window class is lost
+    monkeypatch.setattr(census, "_CENSUS_CACHE", {})
+    _augmented_census(7, d_v)
+    chain = census._CENSUS_CACHE[d_v]
+    oracle = _oracle_chain(7, d_v)
+    assert len(chain) == len(oracle)
+    for k in range(1, 8):
+        got = [_oracle_cert(_adj_of(k, edges)) for edges, _ in chain[k]]
+        assert len(got) == len(set(got))  # one graph per class
+        assert set(got) == {_oracle_cert(_adj_of(k, e)) for e in oracle[k]}
+
+
+@pytest.mark.parametrize("d_v", [2, 3, 4, 5, 6])
+def test_chain_computes_about_one_certificate_per_class(d_v, monkeypatch):
+    calls = []
+    cert = census.canonical_cert
+
+    def counted(adj, autos=None):
+        calls.append(1)
+        return cert(adj, autos)
+
+    monkeypatch.setattr(census, "canonical_cert", counted)
+    monkeypatch.setattr(census, "_CENSUS_CACHE", {})
+    _augmented_census(7, d_v)
+    kept = sum(len(level) for level in census._CENSUS_CACHE[d_v])
+    assert len(calls) <= 1.05 * kept
 
 
 def test_classes_do_not_depend_on_chain_depth(monkeypatch):

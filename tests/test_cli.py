@@ -12,6 +12,7 @@ import pytest
 import errorfloor
 from errorfloor.census import emit_table
 from errorfloor.cli import main
+from errorfloor.floorpred import load_job
 from errorfloor.statespace import InputStats
 from errorfloor.tanner import random_regular_code, save_alist
 
@@ -96,6 +97,19 @@ def test_simulate_smoke(tmp_path, alist):
     assert len(body) == 3
     rec = body[2].split(",")
     assert int(rec[3]) == 500
+
+
+def test_default_rate_counts_dependent_checks_once(tmp_path):
+    # (4,8): the rows of H sum to zero, rank 127 of 128, so the rate is
+    # 129/256; the default used to be the design rate 0.5
+    save_alist(random_regular_code(256, 4, 8, seed=1), tmp_path / "c48.alist")
+    assert main(["simulate", "--alist", "c48.alist", "--ebn0", "3.0", "--frames", "8",
+                 "--batch-size", "8", "--out", "sim"]) == 0
+    rec = (tmp_path / "sim.csv").read_text().splitlines()[2].split(",")
+    assert float(rec[1]) == pytest.approx(129 / 256, rel=1e-6)
+    (tmp_path / "sets.txt").write_text("0 1 2 3\n")
+    (tmp_path / "job.cfg").write_text("code = c48.alist\nsets = sets.txt\nsnr = 3.0\n")
+    assert load_job(tmp_path / "job.cfg").rate == 129 / 256
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -428,6 +442,7 @@ def test_version_subprocess():
 _SCIPY_PROBE = """
 import json, sys
 from errorfloor.cli import main
+from errorfloor.floorpred import load_job
 
 def loaded():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))

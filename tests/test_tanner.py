@@ -33,6 +33,40 @@ def test_dense_round_trip():
     assert H.n_edges == 12
 
 
+def _rank_oracle(A):
+    """GF(2) rank by textbook column-pivot elimination on a dense copy."""
+    A = A.copy()
+    rank = 0
+    for c in range(A.shape[1]):
+        rows = [i for i in range(rank, A.shape[0]) if A[i, c]]
+        if not rows:
+            continue
+        A[[rank, rows[0]]] = A[[rows[0], rank]]
+        for i in range(A.shape[0]):
+            if i != rank and A[i, c]:
+                A[i] ^= A[rank]
+        rank += 1
+    return rank
+
+
+def test_rate_matches_rank_oracle():
+    rng = np.random.default_rng(7)
+    for trial in range(120):
+        m, n = int(rng.integers(1, 30)), int(rng.integers(1, 140))
+        A = (rng.random((m, n)) < rng.choice([0.05, 0.3, 0.7])).astype(np.uint8)
+        if trial % 3 == 0:
+            A[-1] = A[0] ^ A[m // 2]  # a dependent row (or a zero one)
+        assert ParityCheckMatrix.from_dense(A).rate() == (n - _rank_oracle(A)) / n
+    assert ParityCheckMatrix.from_dense(H_DENSE).rate() == 3 / 6  # rows sum to zero
+
+
+def test_rate_of_even_variable_degree_code():
+    # every column of a (4,8) code has even weight, so the 128 rows sum
+    # to zero and the design rate 1/2 is not the code's rate
+    assert random_regular_code(256, 4, 8, seed=1).rate() == 129 / 256
+    assert random_regular_code(256, 3, 6, seed=1).rate() == 0.5
+
+
 def test_out_of_range_index_rejected():
     with pytest.raises(ValueError):
         ParityCheckMatrix([[0, 6]], 6)
