@@ -64,7 +64,6 @@ _SPECS = {
         "horizon": (_i, None, "override model horizon"),
         "inversion_iters": (_i, None, "override inversion iterations"),
         "snr": (_floats, None, "override SNR grid, comma separated dB"),
-        "cache_dir": (str, None, "stats cache directory"),
         "workers": (_i, 1, "parallel workers"),
         "out": (str, "predict", "output prefix"),
     },
@@ -264,7 +263,7 @@ def cmd_predict(cfg: dict) -> int:
     if cfg["sat"] != "keep":
         edits["saturation"] = cfg["sat"]
     job = _build(dataclasses.replace, job, **edits)
-    report = _build(predict_curve, job, cache_dir=cfg["cache_dir"], workers=cfg["workers"])
+    report = _build(predict_curve, job, workers=cfg["workers"])
     man = _Manifest("predict", {**cfg, "code_id": job.code_id}, cfg["out"])
     with man.csv_open(Path(f"{cfg['out']}.csv")) as fh:
         report.to_csv(fh)
@@ -346,7 +345,6 @@ def cmd_richardson(cfg: dict) -> int:
         mode=cfg["mode"],
         sat_iters=cfg["sat_iters"],
         sat_limit=cfg["sat"] if nonsat else SemiAnalyticConfig.sat_limit,
-        ec_window=cfg["ec_window"],
         seed=cfg["seed"],
         refine_rounds=cfg["refine"],
     )

@@ -371,15 +371,6 @@ class CaptureAccumulator:
 
 
 @dataclass
-class DecodeResult:
-    hard: np.ndarray
-    converged: bool
-    iterations: int
-    failed_set: np.ndarray
-    soft: np.ndarray
-
-
-@dataclass
 class BatchResult:
     hard: np.ndarray        # [F, n] uint8
     converged: np.ndarray   # [F] bool
@@ -535,14 +526,3 @@ def decode_batch(
     return BatchResult(hard_out, conv_out, iters_out, failed_out, soft_out,
                        v2c if return_state else None)
 
-
-def decode(H: ParityCheckMatrix, llr, cfg: DecoderConfig) -> DecodeResult:
-    """Decode a single frame; see decode_batch for the semantics."""
-    res = decode_batch(H, np.asarray(llr, dtype=float)[None, :], cfg)
-    return DecodeResult(
-        hard=res.hard[0],
-        converged=bool(res.converged[0]),
-        iterations=int(res.iterations[0]),
-        failed_set=np.flatnonzero(res.failed[0]),
-        soft=res.soft[0],
-    )

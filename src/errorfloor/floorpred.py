@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import os
-import tempfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .channel import ChannelConfig, frame_rng, ordered_map, sample_llrs
-from .dde import DEFAULT_HALF_BINS, DEFAULT_STEP, dde_run
+from .dde import dde_run
 from .decoder import CaptureAccumulator, DecoderConfig, decode_batch
 from .statespace import (
     InputStats,
@@ -29,9 +27,6 @@ from .statespace import (
     union_bounds,
 )
 from .tanner import ParityCheckMatrix, induce, load_alist, load_trapping_sets
-
-CACHE_ENV = "ERRORFLOOR_CACHE_DIR"
-CACHE_SCHEMA = "v4"  # bump when the key or the stats files change
 
 
 @dataclass(frozen=True)
@@ -127,51 +122,6 @@ def stats_from_capture(
     return InputStats("spa", d_c, cfg.mean_llr, *cap.results(), cfg.ebn0_db, cfg.rate, saturation)
 
 
-def _cache_path(cache_dir, job: PredictionJob, cfg: ChannelConfig, d_v: int) -> Path:
-    spa = job.source == "spa"
-    key = "|".join(
-        [
-            CACHE_SCHEMA,
-            job.code_id if spa else f"ensemble({d_v},{_check_degree(job.H)})",
-            job.source,
-            f"{cfg.ebn0_db:.6f}",
-            f"{cfg.rate:.10g}",
-            "none" if job.saturation is None else f"{job.saturation:.6g}",
-            f"h{job.horizon}",
-            job.mode if spa else f"grid{DEFAULT_STEP!r}x{DEFAULT_HALF_BINS}",
-            f"f{job.capture_frames}s{job.capture_seed}" if spa else "-",
-        ]
-    )
-    name = hashlib.sha1(key.encode()).hexdigest()[:24] + ".csv"
-    return Path(cache_dir) / name
-
-
-def _stats_for(job: PredictionJob, cfg: ChannelConfig, d_v: int, cache_dir) -> InputStats:
-    path = None
-    if cache_dir:
-        path = _cache_path(cache_dir, job, cfg, d_v)
-        if path.exists():
-            return InputStats.from_csv(path)
-    if job.source == "dde":
-        stats = stats_from_dde(cfg, d_v, _check_degree(job.H), job.horizon, job.saturation)
-    else:
-        stats = stats_from_capture(
-            job.H, cfg, job.horizon, job.saturation,
-            mode=job.mode, n_frames=job.capture_frames, seed=job.capture_seed,
-        )
-    if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        os.close(fd)
-        try:
-            stats.to_csv(tmp)
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-    return stats
-
-
 @dataclass(frozen=True)
 class SetPrediction:
     set_index: int
@@ -265,9 +215,15 @@ def predict_set(
 
 
 def _curve_point(args):
-    job, snr, d_v, cache_dir = args
+    job, snr, d_v = args
     cfg = ChannelConfig(snr, job.rate)
-    stats = _stats_for(job, cfg, d_v, cache_dir)
+    if job.source == "dde":
+        stats = stats_from_dde(cfg, d_v, _check_degree(job.H), job.horizon, job.saturation)
+    else:
+        stats = stats_from_capture(
+            job.H, cfg, job.horizon, job.saturation,
+            mode=job.mode, n_frames=job.capture_frames, seed=job.capture_seed,
+        )
     rows = [
         predict_set(
             job.H, d_v, T, stats, cfg, job.horizon, job.inversion_iters,
@@ -284,15 +240,13 @@ def _curve_point(args):
     return fer, ber, rows
 
 
-def predict_curve(job: PredictionJob, cache_dir=None, workers: int = 1) -> PredictionReport:
+def predict_curve(job: PredictionJob, workers: int = 1) -> PredictionReport:
     """SNR-swept FER/BER bounds with a per-set breakdown."""
-    if cache_dir is None:
-        cache_dir = os.environ.get(CACHE_ENV) or None
     vd = job.H.var_degrees
     if not np.all(vd == vd[0]):
         raise ValueError("prediction requires a variable-regular code")
     d_v = int(vd[0])
-    tasks = [(job, float(s), d_v, cache_dir) for s in job.snr_grid]
+    tasks = [(job, float(s), d_v) for s in job.snr_grid]
     outs = list(ordered_map(_curve_point, tasks, workers))
     echo = {
         "code_id": job.code_id,
@@ -388,7 +342,10 @@ def load_job(path) -> PredictionJob:
             fields[k] = _JOB_KEYS[k](v)
         except ValueError as e:
             raise ValueError(f"bad value for {k!r}: {e}") from None
-    H = load_alist(base / kv["code"])
+    try:
+        H = load_alist(base / kv["code"])
+    except ValueError as e:
+        raise ValueError(f"bad alist {base / kv['code']}: {e}") from None
     sets = tuple(tuple(map(int, s)) for s in load_trapping_sets(base / kv["sets"]))
     fields.setdefault("rate", H.rate())
     return PredictionJob(H=H, sets=sets, snr_grid=fields.pop("snr"), **fields)

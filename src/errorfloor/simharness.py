@@ -198,7 +198,6 @@ class SemiAnalyticConfig:
     mode: str = "exact-match"
     sat_iters: int = 20
     sat_limit: float = 25.0
-    ec_window: int = 12
     seed: int = 0
     batch_size: int = 512
     refine_rounds: int = 0
@@ -215,8 +214,8 @@ class SemiAnalyticConfig:
             raise ValueError(f"unknown classification mode {self.mode!r}")
         if self.sat_limit <= 0:
             raise ValueError("saturation limit must be positive")
-        if self.sat_iters < 1 or self.ec_window < 1:
-            raise ValueError("sat_iters and ec_window must be at least 1")
+        if self.sat_iters < 1:
+            raise ValueError("sat_iters must be at least 1")
         if min(self.frames_per_point, self.batch_size, self.target_failures) < 1:
             raise ValueError("frames_per_point, batch_size and target_failures must be at least 1")
         if self.refine_rounds < 0:
@@ -255,14 +254,14 @@ def conditional_failure(
     decoder's not-eventually-correct set with T directly;
     saturation-phase first lets the given (non-saturating) decoder run,
     then appends `sa.sat_iters` iterations clamped at `sa.sat_limit` and
-    matches on their trailing `sa.ec_window`.
+    matches on their trailing `dec.ec_window`.
     """
     T = tuple(sorted(int(v) for v in sa.trap_set))
     mask = np.zeros(H.n_vars, dtype=bool)
     mask[list(T)] = True
     sat_dec = DecoderConfig(
         mode=dec.mode, max_iters=sa.sat_iters, saturation=sa.sat_limit,
-        early_stop=False, ec_window=sa.ec_window,
+        early_stop=False, ec_window=dec.ec_window,
     )
 
     fails = 0

@@ -138,37 +138,6 @@ class InputStats:
                     + [f"{x:.17g}" for x in (self.m_ex[i], self.var_ex[i], self.g_bar[i], self.p_e[i])]
                 )
 
-    @classmethod
-    def from_csv(cls, path) -> "InputStats":
-        meta = {}
-        rows = []
-        with open(path, newline="") as fh:
-            for rec in csv.reader(fh):
-                if not rec:
-                    continue
-                if rec[0].startswith("#"):
-                    key = rec[0].lstrip("# ").strip()
-                    if key != "input-stats v1" and len(rec) > 1:
-                        meta[key] = rec[1]
-                    continue
-                if rec[0] == "iteration":
-                    continue
-                rows.append([float(x) for x in rec[1:]])
-        arr = np.array(rows)
-        sat = meta.get("saturation", "")
-        return cls(
-            source=meta.get("source", "unknown"),
-            d_c=int(meta["d_c"]),
-            m_lambda=float(meta["m_lambda"]),
-            m_ex=arr[:, 0],
-            var_ex=arr[:, 1],
-            g_bar=arr[:, 2],
-            p_e=arr[:, 3],
-            ebn0_db=float(meta.get("ebn0_db", "nan")),
-            rate=float(meta.get("rate", "nan")),
-            saturation=None if sat == "" else float(sat),
-        )
-
 
 def inversion_probability(p: float, d_c: int) -> float:
     """Probability that an odd number of the d_c - 2 other external

@@ -95,6 +95,8 @@ def load_alist(path) -> ParityCheckMatrix:
         row_lists = [take(max_row if max_row else row_deg[i]) for i in range(m)]
     except StopIteration:
         raise ValueError(f"truncated alist file: {path}") from None
+    if n < 1:
+        raise ValueError(f"a code needs at least one variable, got n = {n}")
 
     chk_vars = []
     for i, lst in enumerate(row_lists):

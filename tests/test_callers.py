@@ -1,6 +1,8 @@
 """No code without a caller: every public top-level function and class
 of the package is named outside its own definition, in the package, the
-benchmark or the README, or is listed below with the reason it stays."""
+benchmark or the README's code, or is listed below with the reason it
+stays.  README prose does not count: only inline code spans and fenced
+blocks, without their `#` comments, are searched."""
 
 import ast
 import re
@@ -34,6 +36,19 @@ def _public_definitions():
                 yield path, node
 
 
+def _readme_code(text: str) -> str:
+    """Inline code spans and fenced-block lines, `#` comments removed."""
+    parts, fenced = [], False
+    for line in text.splitlines():
+        if line.lstrip().startswith("```"):
+            fenced = not fenced
+        elif fenced:
+            parts.append(line.split("#", 1)[0])
+        else:
+            parts.extend(re.findall(r"`([^`]+)`", line))
+    return "\n".join(parts)
+
+
 def _named_elsewhere(name: str, home: Path, first: int, last: int, texts: dict) -> bool:
     pattern = re.compile(rf"\b{re.escape(name)}\b")
     for path, text in texts.items():
@@ -45,9 +60,9 @@ def _named_elsewhere(name: str, home: Path, first: int, last: int, texts: dict) 
 
 
 def test_every_public_name_has_a_caller():
-    sources = [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "benchmarks").glob("*.py")),
-               ROOT / "README.md"]
+    sources = [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "benchmarks").glob("*.py"))]
     texts = {p: p.read_text() for p in sources}
+    texts[ROOT / "README.md"] = _readme_code((ROOT / "README.md").read_text())
     uncalled = []
     for path, node in _public_definitions():
         first = min([node.lineno] + [d.lineno for d in node.decorator_list])

@@ -13,7 +13,6 @@ import errorfloor
 from errorfloor.census import emit_table
 from errorfloor.cli import main
 from errorfloor.floorpred import load_job
-from errorfloor.statespace import InputStats
 from errorfloor.tanner import random_regular_code, save_alist
 
 CW = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -75,11 +74,14 @@ def test_enumerate_matches_library(tmp_path):
 
 def test_stats_output_parses(tmp_path):
     assert main(["stats", "--ebn0", "2.8", "--iters", "3", "--out", "s"]) == 0
-    stats = InputStats.from_csv(tmp_path / "s.csv")
-    assert stats.source == "dde"
-    assert stats.n_iters == 3
-    assert stats.d_c == 6
-    assert stats.saturation == 25.0
+    with open(tmp_path / "s.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    meta = {r[0]: r[1] for r in rows if r[0].startswith("# ") and len(r) == 2}
+    assert meta["# source"] == "dde"
+    assert meta["# d_c"] == "6"
+    assert float(meta["# saturation"]) == 25.0
+    head = rows.index(["iteration", "m_ex", "var_ex", "g_bar", "p_e"])
+    assert [int(r[0]) for r in rows[head + 1:]] == [1, 2, 3]
 
 
 def test_simulate_smoke(tmp_path, alist):
@@ -393,7 +395,7 @@ def test_predict_job_cli(tmp_path, planted_alist):
     (tmp_path / "job.cfg").write_text(
         f"code = {planted_alist}\nsets = sets.txt\nsnr = 2.6 3.0\nhorizon = 4\n"
     )
-    rc = main(["predict", "--job", "job.cfg", "--cache-dir", "cache", "--out", "p"])
+    rc = main(["predict", "--job", "job.cfg", "--out", "p"])
     assert rc == 0
     doc = json.loads((tmp_path / "p.json").read_text())
     assert doc["schema"] == "floor-prediction v1"
@@ -402,8 +404,7 @@ def test_predict_job_cli(tmp_path, planted_alist):
     assert doc["curve"][0]["fer_bound"] > doc["curve"][1]["fer_bound"]
     assert (tmp_path / "p.csv").read_text().startswith("# manifest: p.manifest.json")
     # SNR override narrows the grid
-    rc = main(["predict", "--job", "job.cfg", "--snr", "2.6", "--cache-dir", "cache",
-               "--out", "q"])
+    rc = main(["predict", "--job", "job.cfg", "--snr", "2.6", "--out", "q"])
     assert rc == 0
     assert len(json.loads((tmp_path / "q.json").read_text())["curve"]) == 1
 
@@ -489,3 +490,26 @@ def test_no_cli_path_imports_scipy(tmp_path, alist, planted_alist):
     assert seen.pop("import") == []
     assert seen == {name: ["exit 0"] for name in seen}
     assert len(seen) == 8
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--alist", "empty.alist", "--ebn0", "2.0", "--frames", "16"],
+    ["simulate", "--alist", "empty.alist", "--ebn0", "2.0", "--frames", "16", "--rate", "0.5"],
+    ["richardson", "--alist", "empty.alist", "--set", "sets.txt", "--ebn0", "2.4",
+     "--s-points", "1", "--s-lo", "-1.5", "--s-hi", "-1.0", "--frames-per-point", "16",
+     "--refine", "0"],
+    ["stats", "--source", "spa", "--alist", "empty.alist", "--ebn0", "2.4", "--iters", "2",
+     "--frames", "10"],
+    ["stats", "--alist", "empty.alist", "--ebn0", "2.4", "--iters", "2"],
+    ["predict", "--job", "job.cfg"],
+], ids=["simulate", "simulate-rate", "richardson", "stats-spa", "stats-dde", "predict"])
+def test_alist_without_variables_exits_2(tmp_path, capsys, argv):
+    # simulate exited 3 with "division by zero" from the default rate, or
+    # with "cannot reshape array of size 0" when --rate was given
+    (tmp_path / "empty.alist").write_text("0 0\n0 0\n")
+    (tmp_path / "sets.txt").write_text("0\n")
+    (tmp_path / "job.cfg").write_text("code = empty.alist\nsets = sets.txt\nsnr = 2.6\n")
+    assert main(argv + ["--out", "o"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "empty.alist" in err and "n = 0" in err
+    assert not list(tmp_path.glob("o.*"))

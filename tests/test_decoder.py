@@ -27,7 +27,6 @@ from errorfloor.decoder import (
     check_update_exact,
     check_update_minsum,
     check_update_pairwise,
-    decode,
     decode_batch,
 )
 from errorfloor.simharness import _rotated_noise
@@ -118,20 +117,25 @@ def clean_llrs(code, cfg, n_frames, seed=0):
     return sample_llrs(cfg, frame_rng(seed, 0), (n_frames, code.n_vars))
 
 
+def decode_one(H, llr, cfg):
+    """decode_batch on a one-frame batch."""
+    return decode_batch(H, np.asarray(llr, dtype=float)[None, :], cfg)
+
+
 def test_decode_noiseless(code):
     llr = np.full(code.n_vars, 5.0)
-    res = decode(code, llr, DecoderConfig(max_iters=10))
-    assert res.converged and res.iterations == 1
+    res = decode_one(code, llr, DecoderConfig(max_iters=10))
+    assert res.converged[0] and res.iterations[0] == 1
     assert not res.hard.any()
-    assert res.failed_set.size == 0
+    assert not res.failed.any()
     assert np.all(res.soft > 0)
 
 
 def test_decode_corrects_single_flip(code):
     llr = np.full(code.n_vars, 5.0)
     llr[7] = -5.0
-    res = decode(code, llr, DecoderConfig(max_iters=20))
-    assert res.converged and not res.hard.any()
+    res = decode_one(code, llr, DecoderConfig(max_iters=20))
+    assert res.converged[0] and not res.hard.any()
 
 
 def test_batch_agrees_with_single(code):
@@ -140,10 +144,10 @@ def test_batch_agrees_with_single(code):
     llrs = clean_llrs(code, cfg, 32, seed=5)
     batch = decode_batch(code, llrs, dec)
     for i in range(32):
-        one = decode(code, llrs[i], dec)
-        assert one.converged == batch.converged[i]
-        assert np.array_equal(one.hard, batch.hard[i])
-        assert np.array_equal(one.failed_set, np.flatnonzero(batch.failed[i]))
+        one = decode_one(code, llrs[i], dec)
+        assert one.converged[0] == batch.converged[i]
+        assert np.array_equal(one.hard[0], batch.hard[i])
+        assert np.array_equal(one.failed[0], batch.failed[i])
 
 
 def test_early_stop_only_reorders_exit(code):
@@ -162,7 +166,7 @@ def test_saturation_bounds_corrections(code):
     sat = 4.0
     dec = DecoderConfig(max_iters=8, saturation=sat, early_stop=False)
     for i in range(16):
-        soft = decode(code, llrs[i], dec).soft
+        soft = decode_one(code, llrs[i], dec).soft[0]
         assert np.all(np.abs(soft - llrs[i]) <= 3 * sat + 1e-9)
 
 
@@ -213,8 +217,8 @@ def test_modes_decode_clean_frames(mode, seed):
     code = random_regular_code(36, 3, 6, seed=2)
     llr = np.full(code.n_vars, 8.0)
     llr[seed % code.n_vars] = 0.5
-    res = decode(code, llr, DecoderConfig(mode=mode, max_iters=10))
-    assert res.converged and not res.hard.any()
+    res = decode_one(code, llr, DecoderConfig(mode=mode, max_iters=10))
+    assert res.converged[0] and not res.hard.any()
 
 
 def test_run_capture_lengths(code):
@@ -281,7 +285,8 @@ def _oracle_check_pass(v2c, lay, mode):
 
 
 def _oracle_soft(H, llr, cfg):
-    """The former second decode that `decode` ran for its soft output."""
+    """The former second decode that a single-frame decode ran for its
+    soft output."""
     lay = _layout(H)
     v2c = llr[None, lay.edge_var].copy()
     soft = llr[None, :].copy()
@@ -363,7 +368,7 @@ def test_decode_soft_matches_second_decode(code, irregular_code, early_stop, sat
     for H in (code, irregular_code):
         llrs = clean_llrs(H, cfg, 6, seed=12)
         for llr in llrs:
-            got, want = decode(H, llr, dec).soft, _oracle_soft(H, llr, dec)
+            got, want = decode_one(H, llr, dec).soft[0], _oracle_soft(H, llr, dec)
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -378,7 +383,7 @@ def test_unclamped_decode_has_no_nan(irregular_code, early_stop):
         warnings.simplefilter("error", RuntimeWarning)
         soft = decode_batch(H, llrs, dec).soft
         for llr in llrs:
-            assert not np.isnan(decode(H, llr, dec).soft).any()
+            assert not np.isnan(decode_one(H, llr, dec).soft).any()
     assert not np.isnan(soft).any()
     assert np.isposinf(soft).any()  # the forced variables
 

@@ -1,4 +1,4 @@
-"""Floor prediction pipeline: jobs, caching, report serialization."""
+"""Floor prediction pipeline: jobs, curves, report serialization."""
 
 import json
 
@@ -8,7 +8,6 @@ import pytest
 from errorfloor.channel import ChannelConfig
 from errorfloor.floorpred import (
     PredictionJob,
-    _stats_for,
     code_digest,
     load_job,
     predict_curve,
@@ -91,19 +90,6 @@ def test_job_validation(code):
             PredictionJob(H=code, sets=((0,),), snr_grid=(2.0,), rate=0.5, saturation=sat)
 
 
-def test_predict_curve_cache_round_trip(job, tmp_path):
-    cache = tmp_path / "cache"
-    cold = predict_curve(job, cache_dir=cache)
-    files = sorted(p.name for p in cache.rglob("*.csv"))
-    assert len(files) == len(job.snr_grid)
-    warm = predict_curve(job, cache_dir=cache)
-    assert sorted(p.name for p in cache.rglob("*.csv")) == files
-    assert warm.to_dict() == cold.to_dict()
-    np.testing.assert_array_equal(warm.fer, cold.fer)
-    assert np.all(np.diff(cold.fer) < 0)  # floor falls with SNR
-    assert np.all(cold.ber <= cold.fer)
-
-
 def test_predict_curve_worker_invariance(job):
     one = predict_curve(job, workers=1)
     assert predict_curve(job, workers=2).to_dict() == one.to_dict()
@@ -114,36 +100,10 @@ def test_predict_curve_worker_invariance(job):
         predict_curve(job, workers=0)
 
 
-def test_cache_env_variable(job, tmp_path, monkeypatch):
-    cache = tmp_path / "envcache"
-    monkeypatch.setenv("ERRORFLOOR_CACHE_DIR", str(cache))
-    predict_curve(job)
-    assert len(list(cache.rglob("*.csv"))) == len(job.snr_grid)
-
-
-@pytest.mark.parametrize("d_v, d_c", [(4, 6), (3, 8)])
-def test_dde_cache_keyed_on_degrees(code, d_v, d_c, tmp_path):
-    # regression: the dde key held no degrees, so a second job with another
-    # d_v or d_c read the first job's stats from a shared cache dir
-    cfg = ChannelConfig(2.8, 0.5)
-    other = random_regular_code(96, d_v, d_c, seed=5)
-    first, second = (
-        PredictionJob(H=H, sets=((0, 1, 2, 3),), snr_grid=(2.8,), rate=0.5, horizon=2)
-        for H in (code, other)
-    )
-    cache = tmp_path / "cache"
-    got_first = _stats_for(first, cfg, 3, cache)
-    got_second = _stats_for(second, cfg, d_v, cache)
-    assert len(list(cache.glob("*.csv"))) == 2
-    want = stats_from_dde(cfg, d_v, d_c, n_iters=2, saturation=25.0)
-    np.testing.assert_allclose(got_second.m_ex, want.m_ex, rtol=1e-12)
-    assert not np.allclose(got_second.m_ex, got_first.m_ex)
-    # a warm read returns the job's own stats
-    np.testing.assert_allclose(_stats_for(second, cfg, d_v, cache).m_ex, want.m_ex, rtol=1e-12)
-
-
-def test_report_serialization(job, tmp_path):
-    rep = predict_curve(job, cache_dir=tmp_path / "c")
+def test_report_serialization(job):
+    rep = predict_curve(job)
+    assert np.all(np.diff(rep.fer) < 0)  # floor falls with SNR
+    assert np.all(rep.ber <= rep.fer)
     doc = json.loads(json.dumps(rep.to_dict()))
     assert doc["schema"] == "floor-prediction v1"
     assert len(doc["curve"]) == len(job.snr_grid)

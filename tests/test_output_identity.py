@@ -2,8 +2,18 @@
 
 `enumerate` runs for d_v 2-6 at `--amax 8` on a cold census cache and its
 CSV must match `tests/expected/enumerate/census_dv<d_v>.csv` byte for
-byte.  A change that moves these outputs on purpose regenerates the files
-and states the deviation:
+byte.
+
+`predict` (dde and spa sources) and `stats` (dde source unclamped, spa
+source clamped) run on the committed inputs in `tests/expected/inputs/`:
+a (3,6) code on 48 variables with a planted codeword, two failure sets
+and a two-point job.  Their CSV and JSON outputs are compared field by
+field with `tests/expected/predict/` and `tests/expected/stats/`:
+integers and text exactly, floats within 1e-12 relative (1e-11 for values
+derived from density evolution).  Manifests are not compared.
+
+A change that moves these outputs on purpose regenerates the files and
+states the deviation:
 
     PYTHONPATH=src python tests/test_output_identity.py
 
@@ -11,6 +21,8 @@ The files were written on a 2-core x86-64 Xeon host (python 3.11,
 numpy 2.4); the census values are printed to six significant digits.
 """
 
+import json
+import math
 import sys
 from pathlib import Path
 
@@ -20,7 +32,19 @@ from errorfloor import census
 from errorfloor.cli import main
 
 EXPECTED = Path(__file__).resolve().parent / "expected"
+INPUTS = EXPECTED / "inputs"
 ENUMERATE_DV = (2, 3, 4, 5, 6)
+
+# output name -> (expected subdirectory, argv without --out, float tolerance)
+RUNS = {
+    "predict_dde": ("predict", ["predict", "--job", str(INPUTS / "job.cfg")], 1e-11),
+    "predict_spa": ("predict", ["predict", "--job", str(INPUTS / "job.cfg"),
+                                "--stats-source", "spa"], 1e-12),
+    "stats_dde": ("stats", ["stats", "--ebn0", "2.8", "--iters", "4", "--sat", "none"], 1e-11),
+    "stats_spa": ("stats", ["stats", "--source", "spa", "--alist", str(INPUTS / "code.alist"),
+                            "--ebn0", "2.8", "--iters", "4", "--frames", "40", "--seed", "1"],
+                  1e-12),
+}
 
 
 def run_enumerate(d_v: int, out_dir: Path) -> Path:
@@ -28,6 +52,54 @@ def run_enumerate(d_v: int, out_dir: Path) -> Path:
     if main(["enumerate", "--dv", str(d_v), "--amax", "8", "--out", str(prefix)]) != 0:
         raise RuntimeError(f"enumerate --dv {d_v} failed")
     return prefix.with_suffix(".csv")
+
+
+def run_output(name: str, out_dir: Path) -> list:
+    """Runs one entry of RUNS into `out_dir`; returns its result files."""
+    _, argv, _ = RUNS[name]
+    prefix = out_dir / name
+    if main(argv + ["--out", str(prefix)]) != 0:
+        raise RuntimeError(f"{' '.join(argv)} failed")
+    return [p for p in (prefix.with_suffix(".csv"), prefix.with_suffix(".json")) if p.exists()]
+
+
+def _same_scalar(got, want, tol: float) -> bool:
+    if isinstance(want, float) and isinstance(got, float):
+        if math.isnan(want) or math.isnan(got):
+            return math.isnan(want) and math.isnan(got)
+        return abs(got - want) <= tol * max(abs(got), abs(want))
+    return type(got) is type(want) and got == want
+
+
+def _cell(text: str):
+    for conv in (int, float):
+        try:
+            return conv(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _compare(got, want, tol: float, where: str):
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and list(got) == list(want), f"{where}: keys differ"
+        for k in want:
+            _compare(got[k], want[k], tol, f"{where}.{k}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), f"{where}: lengths differ"
+        for i, (g, w) in enumerate(zip(got, want)):
+            _compare(g, w, tol, f"{where}[{i}]")
+    else:
+        dev = ""
+        if isinstance(want, float) and isinstance(got, float) and want:
+            dev = f" (relative deviation {abs(got - want) / abs(want):.3g})"
+        assert _same_scalar(got, want, tol), f"{where}: got {got!r}, expected {want!r}{dev}"
+
+
+def _parsed(path: Path):
+    if path.suffix == ".json":
+        return json.loads(path.read_text())
+    return [[_cell(c) for c in line.split(",")] for line in path.read_text().splitlines()]
 
 
 @pytest.mark.parametrize("d_v", ENUMERATE_DV)
@@ -40,6 +112,16 @@ def test_enumerate_csv_matches_expected(d_v, tmp_path, monkeypatch):
     assert len(got) == len(want), f"d_v={d_v}: {len(got)} lines, expected {len(want)}"
 
 
+@pytest.mark.parametrize("name", RUNS)
+def test_output_matches_expected(name, tmp_path):
+    subdir, _, tol = RUNS[name]
+    got = run_output(name, tmp_path)
+    want = sorted((EXPECTED / subdir).glob(f"{name}.*"))
+    assert sorted(p.name for p in got) == [p.name for p in want]
+    for g, w in zip(sorted(got), want):
+        _compare(_parsed(g), _parsed(w), tol, w.name)
+
+
 if __name__ == "__main__":
     out = EXPECTED / "enumerate"
     out.mkdir(parents=True, exist_ok=True)
@@ -47,3 +129,9 @@ if __name__ == "__main__":
         path = run_enumerate(d_v, out)
         path.with_suffix(".manifest.json").unlink()
         print(f"wrote {path}", file=sys.stderr)
+    for name, (subdir, _, _) in RUNS.items():
+        out = EXPECTED / subdir
+        out.mkdir(parents=True, exist_ok=True)
+        for path in run_output(name, out):
+            print(f"wrote {path}", file=sys.stderr)
+        (out / f"{name}.manifest.json").unlink()

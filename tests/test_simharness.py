@@ -213,6 +213,25 @@ def test_conditional_failure_modes_and_determinism(planted_code):
     assert sat.frames == 2_000
 
 
+def test_saturation_phase_window_is_the_decoders(planted_code, monkeypatch):
+    # the clamped phase matches on the trailing window of the one decoder
+    # configuration; the plan no longer carries a second copy of it
+    seen = []
+    real = errorfloor.simharness.decode_batch
+
+    def spy(H, llrs, cfg, **kw):
+        seen.append(cfg)
+        return real(H, llrs, cfg, **kw)
+
+    monkeypatch.setattr(errorfloor.simharness, "decode_batch", spy)
+    dec = DecoderConfig(mode="pairwise", max_iters=6, saturation=None, ec_window=3)
+    sa = SemiAnalyticConfig(trap_set=(0, 1, 2, 3), frames_per_point=8, batch_size=8,
+                            mode="saturation-phase", sat_iters=5, sat_limit=15.0)
+    conditional_failure(planted_code, sa, -2.0, CFG, dec)
+    assert [(c.max_iters, c.saturation, c.ec_window) for c in seen] == [(6, None, 3),
+                                                                        (5, 15.0, 3)]
+
+
 def test_semi_analytic_refine_grows_grid(planted_code):
     dec = DecoderConfig(mode="pairwise", max_iters=30, saturation=25.0)
     base = SemiAnalyticConfig(

@@ -35,29 +35,6 @@ def k4_model():
     return build_model(induce(H, (0, 1, 2, 3)), 3)
 
 
-def test_input_stats_csv_round_trip(tmp_path, stats):
-    path = tmp_path / "stats.csv"
-    stats.to_csv(path)
-    back = InputStats.from_csv(path)
-    assert back.source == stats.source
-    assert back.d_c == stats.d_c
-    assert back.m_lambda == stats.m_lambda
-    assert back.saturation == stats.saturation
-    np.testing.assert_array_equal(back.m_ex, stats.m_ex)
-    np.testing.assert_array_equal(back.var_ex, stats.var_ex)
-    np.testing.assert_array_equal(back.g_bar, stats.g_bar)
-    np.testing.assert_array_equal(back.p_e, stats.p_e)
-
-
-def test_input_stats_none_saturation_and_nan_rate(tmp_path):
-    s = InputStats("test", 6, 3.8, [1.0], [2.0], [0.5], [0.1])
-    path = tmp_path / "s.csv"
-    s.to_csv(path)
-    back = InputStats.from_csv(path)
-    assert back.saturation is None
-    assert math.isnan(back.ebn0_db) and math.isnan(back.rate)
-
-
 def test_input_stats_length_check():
     with pytest.raises(ValueError):
         InputStats("test", 6, 3.8, [1.0, 2.0], [1.0], [1.0], [0.1])
