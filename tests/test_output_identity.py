@@ -4,13 +4,20 @@
 CSV must match `tests/expected/enumerate/census_dv<d_v>.csv` byte for
 byte.
 
-`predict` (dde and spa sources) and `stats` (dde source unclamped, spa
-source clamped) run on the committed inputs in `tests/expected/inputs/`:
-a (3,6) code on 48 variables with a planted codeword, two failure sets
-and a two-point job.  Their CSV and JSON outputs are compared field by
-field with `tests/expected/predict/` and `tests/expected/stats/`:
-integers and text exactly, floats within 1e-12 relative (1e-11 for values
-derived from density evolution).  Manifests are not compared.
+The other runs use the committed inputs in `tests/expected/inputs/`: a
+(3,6) code on 48 variables with a planted codeword, two failure sets and
+a two-point job.  They cover
+- `predict` (dde and spa sources);
+- `stats` (dde source unclamped, spa source clamped);
+- `simulate` at one and two workers, which share one expected file, and a
+  run stopped by `--target-errors`;
+- `richardson` in exact-match and saturation-phase mode with one grid
+  refinement;
+- `dde`.
+Their CSV and JSON outputs are compared field by field with the files
+under `tests/expected/`: integers and text exactly, floats within 1e-12
+relative (1e-11 for values derived from density evolution).  Manifests
+are not compared.
 
 A change that moves these outputs on purpose regenerates the files and
 states the deviation:
@@ -35,15 +42,31 @@ EXPECTED = Path(__file__).resolve().parent / "expected"
 INPUTS = EXPECTED / "inputs"
 ENUMERATE_DV = (2, 3, 4, 5, 6)
 
-# output name -> (expected subdirectory, argv without --out, float tolerance)
+CODE = str(INPUTS / "code.alist")
+SIMULATE = ["simulate", "--alist", CODE, "--ebn0", "2.0", "--max-iters", "20", "--seed", "3"]
+RICHARDSON = ["richardson", "--alist", CODE, "--set", str(INPUTS / "sets.txt"), "--ebn0", "2.4",
+              "--s-points", "3", "--frames-per-point", "64", "--target-failures", "10",
+              "--max-iters", "10", "--refine", "1", "--seed", "1"]
+
+# output name -> (expected files' path stem under EXPECTED, argv without --out,
+# float tolerance)
 RUNS = {
-    "predict_dde": ("predict", ["predict", "--job", str(INPUTS / "job.cfg")], 1e-11),
-    "predict_spa": ("predict", ["predict", "--job", str(INPUTS / "job.cfg"),
-                                "--stats-source", "spa"], 1e-12),
-    "stats_dde": ("stats", ["stats", "--ebn0", "2.8", "--iters", "4", "--sat", "none"], 1e-11),
-    "stats_spa": ("stats", ["stats", "--source", "spa", "--alist", str(INPUTS / "code.alist"),
-                            "--ebn0", "2.8", "--iters", "4", "--frames", "40", "--seed", "1"],
-                  1e-12),
+    "predict_dde": ("predict/predict_dde", ["predict", "--job", str(INPUTS / "job.cfg")], 1e-11),
+    "predict_spa": ("predict/predict_spa", ["predict", "--job", str(INPUTS / "job.cfg"),
+                                            "--stats-source", "spa"], 1e-12),
+    "stats_dde": ("stats/stats_dde", ["stats", "--ebn0", "2.8", "--iters", "4", "--sat", "none"],
+                  1e-11),
+    "stats_spa": ("stats/stats_spa", ["stats", "--source", "spa", "--alist", CODE, "--ebn0", "2.8",
+                                      "--iters", "4", "--frames", "40", "--seed", "1"], 1e-12),
+    "simulate": ("simulate/simulate", SIMULATE + ["--frames", "256", "--batch-size", "64"], 1e-12),
+    "simulate_workers2": ("simulate/simulate", SIMULATE + ["--frames", "256", "--batch-size", "64",
+                                                           "--workers", "2"], 1e-12),
+    "simulate_target": ("simulate/simulate_target", SIMULATE + [
+        "--frames", "1024", "--batch-size", "32", "--target-errors", "20"], 1e-12),
+    "richardson_exact": ("richardson/richardson_exact", RICHARDSON, 1e-12),
+    "richardson_saturation": ("richardson/richardson_saturation", RICHARDSON + [
+        "--mode", "saturation-phase", "--sat-iters", "5"], 1e-12),
+    "dde": ("dde/dde", ["dde", "--ebn0", "2.8", "--iters", "3"], 1e-11),
 }
 
 
@@ -55,9 +78,10 @@ def run_enumerate(d_v: int, out_dir: Path) -> Path:
 
 
 def run_output(name: str, out_dir: Path) -> list:
-    """Runs one entry of RUNS into `out_dir`; returns its result files."""
-    _, argv, _ = RUNS[name]
-    prefix = out_dir / name
+    """Runs one entry of RUNS into `out_dir`, named as its expected files;
+    returns its result files."""
+    stem, argv, _ = RUNS[name]
+    prefix = out_dir / Path(stem).name
     if main(argv + ["--out", str(prefix)]) != 0:
         raise RuntimeError(f"{' '.join(argv)} failed")
     return [p for p in (prefix.with_suffix(".csv"), prefix.with_suffix(".json")) if p.exists()]
@@ -114,9 +138,9 @@ def test_enumerate_csv_matches_expected(d_v, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("name", RUNS)
 def test_output_matches_expected(name, tmp_path):
-    subdir, _, tol = RUNS[name]
+    stem, _, tol = RUNS[name]
     got = run_output(name, tmp_path)
-    want = sorted((EXPECTED / subdir).glob(f"{name}.*"))
+    want = sorted(EXPECTED.glob(f"{stem}.*"))
     assert sorted(p.name for p in got) == [p.name for p in want]
     for g, w in zip(sorted(got), want):
         _compare(_parsed(g), _parsed(w), tol, w.name)
@@ -129,8 +153,10 @@ if __name__ == "__main__":
         path = run_enumerate(d_v, out)
         path.with_suffix(".manifest.json").unlink()
         print(f"wrote {path}", file=sys.stderr)
-    for name, (subdir, _, _) in RUNS.items():
-        out = EXPECTED / subdir
+    for name, (stem, _, _) in RUNS.items():
+        if Path(stem).name != name:
+            continue  # shares the expected files of another run
+        out = (EXPECTED / stem).parent
         out.mkdir(parents=True, exist_ok=True)
         for path in run_output(name, out):
             print(f"wrote {path}", file=sys.stderr)
