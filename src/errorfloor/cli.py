@@ -1,16 +1,20 @@
 """Command-line front end.
 
 Every subcommand reads an optional flat key-value config file, applies
-explicit flags on top (flags win), runs one pipeline, and writes its
-results next to a JSON run manifest that records the tool version, the
-merged config, and the output paths.  Result CSVs carry a comment line
-referencing the manifest; result JSONs carry a "manifest" key.
+explicit flags on top (flags win), and runs one pipeline that returns its
+results: CSV text under "csv", a JSON payload under "json".  `main` writes
+them next to a JSON run manifest that records the tool version, the
+merged config, when the run started and finished, and the output paths.
+Result CSVs carry a comment line referencing the manifest; result JSONs
+carry a "manifest" key.  A ValueError anywhere is a rejected value and
+exits 2; any other error exits 3.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import json
 import sys
 import time
@@ -34,10 +38,6 @@ from .floorpred import (
 )
 from .simharness import McConfig, SemiAnalyticConfig, run_monte_carlo, semi_analytic_floor
 from .tanner import load_alist, load_trapping_sets
-
-
-class ConfigError(ValueError):
-    """Bad or missing configuration; maps to exit code 2."""
 
 
 # per-command option table: dest -> (converter, default, help)
@@ -144,7 +144,7 @@ def _coerce(conv, value: str, where: str):
     try:
         return conv(value)
     except ValueError as e:
-        raise ConfigError(f"bad value for {where}: {e}") from None
+        raise ValueError(f"bad value for {where}: {e}") from None
 
 
 def _merge(cmd: str, args: argparse.Namespace) -> dict:
@@ -153,13 +153,13 @@ def _merge(cmd: str, args: argparse.Namespace) -> dict:
     cfg = {dest: default for dest, (_, default, _) in spec.items()}
     if args.config:
         try:
-            kv = _build(read_key_values, args.config)
+            kv = read_key_values(args.config)
         except OSError as e:
-            raise ConfigError(f"cannot read config file: {e}") from None
+            raise ValueError(f"cannot read config file: {e}") from None
         for k, v in kv.items():
             k = k.replace("-", "_")
             if k not in spec:
-                raise ConfigError(f"unknown config key {k!r} for {cmd}")
+                raise ValueError(f"unknown config key {k!r} for {cmd}")
             cfg[k] = _coerce(spec[k][0], v, f"{k!r} in {args.config}")
     for dest, (conv, _, _) in spec.items():
         v = getattr(args, dest)
@@ -167,7 +167,7 @@ def _merge(cmd: str, args: argparse.Namespace) -> dict:
             cfg[dest] = _coerce(conv, v, f"--{dest.replace('_', '-')}")
     for dest in _REQUIRED[cmd]:
         if cfg[dest] is None:
-            raise ConfigError(f"--{dest.replace('_', '-')} is required for {cmd}")
+            raise ValueError(f"--{dest.replace('_', '-')} is required for {cmd}")
     return cfg
 
 
@@ -175,101 +175,87 @@ def _load_code(path: str):
     try:
         return load_alist(path)
     except OSError as e:
-        raise ConfigError(f"cannot read alist: {e}") from None
+        raise ValueError(f"cannot read alist: {e}") from None
     except ValueError as e:
-        raise ConfigError(f"bad alist {path}: {e}") from None
+        raise ValueError(f"bad alist {path}: {e}") from None
 
 
 def _rate_of(cfg_rate, H) -> float:
     return cfg_rate if cfg_rate is not None else H.rate()
 
 
-def _build(ctor, *args, **kwargs):
-    """Validation failures (ValueError) of a constructor, or of a run
-    checking its arguments, are configuration errors."""
-    try:
-        return ctor(*args, **kwargs)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+def _text(write, *args) -> str:
+    """What `write(*args, fh)` writes to a file handle."""
+    fh = io.StringIO()
+    write(*args, fh)
+    return fh.getvalue()
 
 
-class _Manifest:
-    def __init__(self, cmd: str, cfg: dict, out_prefix: str):
-        self.path = Path(f"{out_prefix}.manifest.json")
-        self.doc = {
-            "schema": "run-manifest v1",
-            "tool": f"errorfloor {__version__}",
-            "command": cmd,
-            "config": {k: v for k, v in sorted(cfg.items())},
-            "seed": cfg.get("seed"),
-            "started": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-            "outputs": [],
-        }
-
-    def csv_open(self, path: Path):
-        self.doc["outputs"].append(str(path))
-        fh = open(path, "w", newline="")
-        fh.write(f"# manifest: {self.path.name}\n")
-        return fh
-
-    def json_write(self, path: Path, payload: dict):
-        self.doc["outputs"].append(str(path))
-        payload = {"manifest": self.path.name, **payload}
-        path.write_text(json.dumps(payload, indent=2) + "\n")
-
-    def close(self):
-        self.doc["finished"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-        self.path.write_text(json.dumps(self.doc, indent=2) + "\n")
+def _stamp() -> str:
+    return time.strftime("%Y-%m-%dT%H:%M:%S%z")
 
 
-def cmd_simulate(cfg: dict) -> int:
+def _write(cmd: str, cfg: dict, started: str, outputs: dict) -> None:
+    """Writes a command's outputs to `<out>.csv` and `<out>.json`, in the
+    order given, each naming the manifest; then the manifest itself."""
+    manifest = Path(f"{cfg['out']}.manifest.json")
+    paths = []
+    for ext, body in outputs.items():
+        path = Path(f"{cfg['out']}.{ext}")
+        if ext == "csv":
+            with open(path, "w", newline="") as fh:
+                fh.write(f"# manifest: {manifest.name}\n{body}")
+        else:
+            path.write_text(json.dumps({"manifest": manifest.name, **body}, indent=2) + "\n")
+        paths.append(str(path))
+    doc = {
+        "schema": "run-manifest v1",
+        "tool": f"errorfloor {__version__}",
+        "command": cmd,
+        "config": dict(sorted(cfg.items())),
+        "seed": cfg.get("seed"),
+        "started": started,
+        "outputs": paths,
+        "finished": _stamp(),
+    }
+    manifest.write_text(json.dumps(doc, indent=2) + "\n")
+
+
+def cmd_simulate(cfg: dict) -> dict:
     H = _load_code(cfg["alist"])
-    chan = _build(ChannelConfig, cfg["ebn0"], _rate_of(cfg["rate"], H))
-    dec = _build(
-        DecoderConfig,
-        mode=cfg["mode"], max_iters=cfg["max_iters"], saturation=cfg["sat"],
-        ec_window=cfg["ec_window"],
-    )
-    mc = _build(
-        McConfig,
-        max_frames=cfg["frames"], target_errors=cfg["target_errors"], seed=cfg["seed"],
-        workers=cfg["workers"], batch_size=cfg["batch_size"],
-    )
+    chan = ChannelConfig(cfg["ebn0"], _rate_of(cfg["rate"], H))
+    dec = DecoderConfig(mode=cfg["mode"], max_iters=cfg["max_iters"], saturation=cfg["sat"],
+                        ec_window=cfg["ec_window"])
+    mc = McConfig(max_frames=cfg["frames"], target_errors=cfg["target_errors"], seed=cfg["seed"],
+                  workers=cfg["workers"], batch_size=cfg["batch_size"])
     res = run_monte_carlo(H, chan, dec, mc)
-    man = _Manifest("simulate", cfg, cfg["out"])
-    with man.csv_open(Path(f"{cfg['out']}.csv")) as fh:
-        fh.write("ebn0_db,rate,saturation,frames,frame_errors,bit_errors,"
-                 "fer,fer_lo,fer_hi,ber,ber_lo,ber_hi\n")
-        sat = "" if cfg["sat"] is None else f"{cfg['sat']:.6g}"
-        fh.write(",".join([f"{chan.ebn0_db:.6g}", f"{chan.rate:.6g}", sat,
-                           str(res.frames), str(res.frame_errors), str(res.bit_errors)]
-                          + [f"{x:.6g}" for x in (res.fer, *res.fer_ci, res.ber, *res.ber_ci)])
-                 + "\n")
-    man.json_write(Path(f"{cfg['out']}.json"), dataclasses.asdict(res))
-    man.close()
-    return 0
+    sat = "" if cfg["sat"] is None else f"{cfg['sat']:.6g}"
+    row = ([f"{chan.ebn0_db:.6g}", f"{chan.rate:.6g}", sat,
+            str(res.frames), str(res.frame_errors), str(res.bit_errors)]
+           + [f"{x:.6g}" for x in (res.fer, *res.fer_ci, res.ber, *res.ber_ci)])
+    return {
+        "csv": "ebn0_db,rate,saturation,frames,frame_errors,bit_errors,"
+               "fer,fer_lo,fer_hi,ber,ber_lo,ber_hi\n" + ",".join(row) + "\n",
+        "json": dataclasses.asdict(res),
+    }
 
 
-def cmd_predict(cfg: dict) -> int:
+def cmd_predict(cfg: dict) -> dict:
     try:
         job = load_job(cfg["job"])
     except OSError as e:
-        raise ConfigError(f"cannot read job file: {e}") from None
+        raise ValueError(f"cannot read job file: {e}") from None
     except ValueError as e:
-        raise ConfigError(f"bad job file: {e}") from None
+        raise ValueError(f"bad job file: {e}") from None
     edits = {"source": cfg["stats_source"], "horizon": cfg["horizon"],
              "inversion_iters": cfg["inversion_iters"], "snr_grid": cfg["snr"]}
     edits = {k: v for k, v in edits.items() if v is not None}
     if cfg["sat"] != "keep":
         edits["saturation"] = cfg["sat"]
-    job = _build(dataclasses.replace, job, **edits)
-    report = _build(predict_curve, job, workers=cfg["workers"])
-    man = _Manifest("predict", {**cfg, "code_id": job.code_id}, cfg["out"])
-    with man.csv_open(Path(f"{cfg['out']}.csv")) as fh:
-        report.to_csv(fh)
-    man.json_write(Path(f"{cfg['out']}.json"), report.to_dict())
-    man.close()
-    return 0
+    job = dataclasses.replace(job, **edits)
+    report = predict_curve(job, workers=cfg["workers"])
+    cfg["code_id"] = job.code_id  # recorded in the manifest's config
+    return {"csv": _text(report.to_csv), "json": report.to_dict()}
 
 
 def _dde_stats(cfg: dict):
@@ -277,67 +263,51 @@ def _dde_stats(cfg: dict):
     defaults to that of the --alist code if one is given, else 1 - dv/dc."""
     for key in ("dv", "dc"):
         if cfg[key] < 2:
-            raise ConfigError(f"--{key} must be at least 2, got {cfg[key]}")
+            raise ValueError(f"--{key} must be at least 2, got {cfg[key]}")
     rate = cfg["rate"]
     if rate is None and cfg.get("alist") is not None:
         rate = _rate_of(None, _load_code(cfg["alist"]))
     if rate is None:
         rate = 1.0 - cfg["dv"] / cfg["dc"]
-    return _build(stats_from_dde, _build(ChannelConfig, cfg["ebn0"], rate), cfg["dv"],
-                  cfg["dc"], cfg["iters"], cfg["sat"])
+    return stats_from_dde(ChannelConfig(cfg["ebn0"], rate), cfg["dv"], cfg["dc"], cfg["iters"],
+                          cfg["sat"])
 
 
-def cmd_dde(cfg: dict) -> int:
+def cmd_dde(cfg: dict) -> dict:
     stats = _dde_stats(cfg)
-    man = _Manifest("dde", cfg, cfg["out"])
-    with man.csv_open(Path(f"{cfg['out']}.csv")) as fh:
-        fh.write("# dde-table v1\n")
-        fh.write("iteration,m_ex,var_ex,g_bar,p_e\n")
-        for i in range(stats.n_iters):
-            fh.write(f"{i + 1}," + ",".join(
-                f"{x:.6g}" for x in (stats.m_ex[i], stats.var_ex[i],
-                                     stats.g_bar[i], stats.p_e[i])) + "\n")
-    man.close()
-    return 0
+    rows = "".join(f"{i}," + ",".join(f"{x:.6g}" for x in row) + "\n" for i, row in
+                   enumerate(zip(stats.m_ex, stats.var_ex, stats.g_bar, stats.p_e), 1))
+    return {"csv": "# dde-table v1\niteration,m_ex,var_ex,g_bar,p_e\n" + rows}
 
 
-def cmd_enumerate(cfg: dict) -> int:
-    rows = _build(emit_table, cfg["dv"], cfg["amax"], cfg["r_cutoff"])
-    man = _Manifest("enumerate", cfg, cfg["out"])
-    with man.csv_open(Path(f"{cfg['out']}.csv")) as fh:
-        fh.write(f"# census v1 dv={cfg['dv']}\n")
-        table_to_csv(rows, fh)
-    man.close()
-    return 0
+def cmd_enumerate(cfg: dict) -> dict:
+    rows = emit_table(cfg["dv"], cfg["amax"], cfg["r_cutoff"])
+    return {"csv": f"# census v1 dv={cfg['dv']}\n" + _text(table_to_csv, rows)}
 
 
-def cmd_richardson(cfg: dict) -> int:
+def cmd_richardson(cfg: dict) -> dict:
     H = _load_code(cfg["alist"])
     try:
         sets = load_trapping_sets(cfg["set"])
     except OSError as e:
-        raise ConfigError(f"cannot read set file: {e}") from None
+        raise ValueError(f"cannot read set file: {e}") from None
     except ValueError as e:
-        raise ConfigError(f"bad set file: {e}") from None
+        raise ValueError(f"bad set file: {e}") from None
     if not sets:
-        raise ConfigError(f"no sets in {cfg['set']}")
+        raise ValueError(f"no sets in {cfg['set']}")
     T = tuple(int(v) for v in sets[0])
     if any(v < 0 or v >= H.n_vars for v in T):
-        raise ConfigError("set references variables outside the code")
+        raise ValueError("set references variables outside the code")
     if cfg["s_points"] < 1:
-        raise ConfigError(f"--s-points must be at least 1, got {cfg['s_points']}")
+        raise ValueError(f"--s-points must be at least 1, got {cfg['s_points']}")
     nonsat = cfg["mode"] == "saturation-phase"
     if nonsat and cfg["sat"] is None:
-        raise ConfigError("saturation-phase clamps its second phase: give a positive --sat, "
-                          "not none")
-    chan = _build(ChannelConfig, cfg["ebn0"], _rate_of(cfg["rate"], H))
-    dec = _build(
-        DecoderConfig,
-        mode="pairwise", max_iters=cfg["max_iters"],
-        saturation=None if nonsat else cfg["sat"], ec_window=cfg["ec_window"],
-    )
-    sa = _build(
-        SemiAnalyticConfig,
+        raise ValueError("saturation-phase clamps its second phase: give a positive --sat, "
+                         "not none")
+    chan = ChannelConfig(cfg["ebn0"], _rate_of(cfg["rate"], H))
+    dec = DecoderConfig(mode="pairwise", max_iters=cfg["max_iters"],
+                        saturation=None if nonsat else cfg["sat"], ec_window=cfg["ec_window"])
+    sa = SemiAnalyticConfig(
         trap_set=T,
         s_grid=tuple(np.linspace(cfg["s_lo"], cfg["s_hi"], cfg["s_points"])),
         frames_per_point=cfg["frames_per_point"],
@@ -348,33 +318,23 @@ def cmd_richardson(cfg: dict) -> int:
         seed=cfg["seed"],
         refine_rounds=cfg["refine"],
     )
-    est = _build(semi_analytic_floor, H, chan, dec, sa, workers=cfg["workers"])
-    man = _Manifest("richardson", cfg, cfg["out"])
-    man.json_write(Path(f"{cfg['out']}.json"), est.to_dict())
-    man.close()
-    return 0
+    est = semi_analytic_floor(H, chan, dec, sa, workers=cfg["workers"])
+    return {"json": est.to_dict()}
 
 
-def cmd_stats(cfg: dict) -> int:
+def cmd_stats(cfg: dict) -> dict:
     if cfg["source"] not in ("dde", "spa"):
-        raise ConfigError(f"unknown stats source {cfg['source']!r}")
+        raise ValueError(f"unknown stats source {cfg['source']!r}")
     if cfg["source"] == "spa":
         if cfg["alist"] is None:
-            raise ConfigError("--alist is required for the spa source")
+            raise ValueError("--alist is required for the spa source")
         H = _load_code(cfg["alist"])
-        chan = _build(ChannelConfig, cfg["ebn0"], _rate_of(cfg["rate"], H))
-        stats = _build(
-            stats_from_capture, H, chan, cfg["iters"], cfg["sat"], mode=cfg["mode"],
-            n_frames=cfg["frames"], seed=cfg["seed"],
-        )
+        chan = ChannelConfig(cfg["ebn0"], _rate_of(cfg["rate"], H))
+        stats = stats_from_capture(H, chan, cfg["iters"], cfg["sat"], mode=cfg["mode"],
+                                   n_frames=cfg["frames"], seed=cfg["seed"])
     else:
         stats = _dde_stats(cfg)
-    man = _Manifest("stats", cfg, cfg["out"])
-    path = Path(f"{cfg['out']}.csv")
-    man.doc["outputs"].append(str(path))
-    stats.to_csv(path)
-    man.close()
-    return 0
+    return {"csv": _text(stats.to_csv)}
 
 
 _COMMANDS = {
@@ -391,8 +351,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _merge(args.command, args)
-        return _COMMANDS[args.command](cfg)
-    except ConfigError as e:
+        started = _stamp()
+        _write(args.command, cfg, started, _COMMANDS[args.command](cfg))
+        return 0
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # noqa: BLE001 - the CLI boundary reports and exits

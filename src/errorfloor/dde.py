@@ -284,20 +284,21 @@ class Pmf:
         return Pmf(out, self.delta, self.half)
 
 
-def channel_pmf(cfg: ChannelConfig, delta: float = DEFAULT_STEP, half: int = DEFAULT_HALF_BINS) -> Pmf:
-    """Quantized N(m_lambda, 2 m_lambda) channel LLR density.
+def channel_pmf(cfg: ChannelConfig) -> Pmf:
+    """Quantized N(m_lambda, 2 m_lambda) channel LLR density on the
+    default grid.
 
     Bins below the mean take their mass from CDF differences, bins above
     it from upper-tail (Q) differences: a CDF near 1 would round the
     upper tail's masses to multiples of 2^-53."""
     m = cfg.mean_llr
     sd = math.sqrt(2.0 * m)
-    z = ((np.arange(-half, half + 2) - 0.5) * delta - m) / sd
+    z = ((np.arange(-DEFAULT_HALF_BINS, DEFAULT_HALF_BINS + 2) - 0.5) * DEFAULT_STEP - m) / sd
     cdf, tail = ndtr(z), qfunc(z)
     p = np.where(z[1:] <= 0.0, np.diff(cdf), -np.diff(tail))
     p[0] += cdf[0]
     p[-1] += tail[-1]
-    return Pmf(p, delta, half)
+    return Pmf(p)
 
 
 def check_transform(vc: Pmf, d_c: int) -> Pmf:
@@ -330,8 +331,6 @@ def dde_run(
     cfg: ChannelConfig,
     n_iters: int,
     saturation: float | None = 25.0,
-    delta: float = DEFAULT_STEP,
-    half: int = DEFAULT_HALF_BINS,
 ) -> DDEResult:
     for name, deg in (("d_v", d_v), ("d_c", d_c)):
         if deg < 2:
@@ -340,13 +339,14 @@ def dde_run(
         raise ValueError(f"n_iters must be at least 1, got {n_iters}")
     if saturation is not None and saturation <= 0:
         raise ValueError("saturation limit must be positive")
-    if saturation is not None and saturation >= half * delta:
+    edge = DEFAULT_HALF_BINS * DEFAULT_STEP
+    if saturation is not None and saturation >= edge:
         warnings.warn(
-            f"saturation {saturation:g} is beyond the grid edge {half * delta:g}; "
+            f"saturation {saturation:g} is beyond the grid edge {edge:g}; "
             "the grid boundary acts as the effective clamp",
             stacklevel=2,
         )
-    ch = channel_pmf(cfg, delta, half)
+    ch = channel_pmf(cfg)
     vc = ch
     m_ex, var_ex, g_bar, p_e, m_vc = [], [], [], [], []
     for _ in range(n_iters):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,15 +29,16 @@ from .statespace import (
 from .tanner import ParityCheckMatrix, induce, load_alist, load_trapping_sets
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class PredictionJob:
-    """One prediction run: code, sets, SNR grid, stats source."""
+    """One prediction run: code, sets, SNR grid, stats source.  The field
+    order is the order of the report's job echo."""
 
     H: ParityCheckMatrix
     sets: tuple
+    multiplicities: tuple = ()
     snr_grid: tuple
     rate: float
-    multiplicities: tuple = ()
     source: str = "dde"  # dde | spa
     saturation: float | None = 25.0
     horizon: int = 20
@@ -82,7 +83,12 @@ def code_digest(H: ParityCheckMatrix) -> str:
 
 
 def _check_degree(H: ParityCheckMatrix) -> int:
-    return int(np.max(H.chk_degrees))
+    """The check degree d_c of every check; the model has no mixture of
+    check degrees."""
+    degrees = sorted(set(H.chk_degrees.tolist()))  # np.unique's first call costs 1.4 MB of RSS
+    if len(degrees) != 1:
+        raise ValueError(f"the model needs one check degree, the code has {degrees}")
+    return degrees[0]
 
 
 def stats_from_dde(
@@ -188,7 +194,6 @@ def predict_set(
     d_v: int,
     T,
     stats: InputStats,
-    cfg: ChannelConfig,
     horizon: int,
     inversion_iters: int,
     set_index: int = 0,
@@ -215,10 +220,10 @@ def predict_set(
 
 
 def _curve_point(args):
-    job, snr, d_v = args
+    job, snr, d_v, d_c = args
     cfg = ChannelConfig(snr, job.rate)
     if job.source == "dde":
-        stats = stats_from_dde(cfg, d_v, _check_degree(job.H), job.horizon, job.saturation)
+        stats = stats_from_dde(cfg, d_v, d_c, job.horizon, job.saturation)
     else:
         stats = stats_from_capture(
             job.H, cfg, job.horizon, job.saturation,
@@ -226,7 +231,7 @@ def _curve_point(args):
         )
     rows = [
         predict_set(
-            job.H, d_v, T, stats, cfg, job.horizon, job.inversion_iters,
+            job.H, d_v, T, stats, job.horizon, job.inversion_iters,
             set_index=i, multiplicity=int(job.multiplicities[i]),
         )
         for i, T in enumerate(job.sets)
@@ -240,29 +245,25 @@ def _curve_point(args):
     return fer, ber, rows
 
 
+def _plain(v):
+    """A job field as JSON data: tuples become lists, numpy scalars Python
+    numbers."""
+    if isinstance(v, (tuple, list, np.ndarray)):
+        return [_plain(x) for x in v]
+    return v.item() if isinstance(v, np.generic) else v
+
+
 def predict_curve(job: PredictionJob, workers: int = 1) -> PredictionReport:
     """SNR-swept FER/BER bounds with a per-set breakdown."""
     vd = job.H.var_degrees
     if not np.all(vd == vd[0]):
         raise ValueError("prediction requires a variable-regular code")
-    d_v = int(vd[0])
-    tasks = [(job, float(s), d_v) for s in job.snr_grid]
+    d_v, d_c = int(vd[0]), _check_degree(job.H)
+    tasks = [(job, float(s), d_v, d_c) for s in job.snr_grid]
     outs = list(ordered_map(_curve_point, tasks, workers))
-    echo = {
-        "code_id": job.code_id,
-        "n": job.H.n_vars,
-        "sets": [list(map(int, T)) for T in job.sets],
-        "multiplicities": list(job.multiplicities),
-        "snr_grid": [float(s) for s in job.snr_grid],
-        "rate": job.rate,
-        "source": job.source,
-        "saturation": job.saturation,
-        "horizon": job.horizon,
-        "inversion_iters": job.inversion_iters,
-        "mode": job.mode,
-        "capture_frames": job.capture_frames,
-        "capture_seed": job.capture_seed,
-    }
+    echo = {"code_id": job.code_id, "n": job.H.n_vars}
+    echo.update((f.name, _plain(getattr(job, f.name))) for f in fields(job)
+                if f.name not in ("H", "code_id"))
     return PredictionReport(
         echo,
         np.asarray(job.snr_grid, dtype=float),

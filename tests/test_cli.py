@@ -5,15 +5,17 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import errorfloor
+from errorfloor import cli
 from errorfloor.census import emit_table
 from errorfloor.cli import main
 from errorfloor.floorpred import load_job
-from errorfloor.tanner import random_regular_code, save_alist
+from errorfloor.tanner import ParityCheckMatrix, random_regular_code, save_alist
 
 CW = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
@@ -512,4 +514,66 @@ def test_alist_without_variables_exits_2(tmp_path, capsys, argv):
     assert main(argv + ["--out", "o"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "empty.alist" in err and "n = 0" in err
+    assert not list(tmp_path.glob("o.*"))
+
+
+@pytest.mark.parametrize("source", ["dde", "spa"])
+def test_stats_csv_names_its_manifest(tmp_path, alist, source):
+    # stats wrote its CSV itself, without the manifest line of every other CSV
+    assert main(["stats", "--source", source, "--alist", alist, "--ebn0", "2.8", "--iters", "2",
+                 "--frames", "8", "--out", "s"]) == 0
+    assert (tmp_path / "s.csv").read_text().splitlines()[0] == "# manifest: s.manifest.json"
+    assert read_manifest(tmp_path, "s")["outputs"] == ["s.csv"]
+
+
+def test_manifest_started_is_stamped_before_the_run(monkeypatch):
+    # the manifest was built after the computation, so a 4 s simulate run
+    # recorded started = finished
+    events = []
+    strftime, emit = time.strftime, cli.emit_table
+
+    def stamp(*args):
+        events.append("stamp")
+        return strftime(*args)
+
+    def run(*args):
+        events.append("run")
+        return emit(*args)
+
+    monkeypatch.setattr(time, "strftime", stamp)
+    monkeypatch.setattr(cli, "emit_table", run)
+    assert main(["enumerate", "--dv", "3", "--amax", "4", "--out", "e"]) == 0
+    assert events == ["stamp", "run", "stamp"]
+
+
+@pytest.fixture()
+def merged_check_alist(tmp_path):
+    # the README quick-start code with two disjoint degree-6 checks merged
+    # into one degree-12 check: 127 checks, still variable-regular
+    H = random_regular_code(
+        256, 3, 6, seed=2,
+        planted=[(0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4), (1,)],
+    )
+    rows = [set(map(int, r)) for r in H.chk_vars]
+    j = next(j for j in range(len(rows) - 2, 0, -1) if not rows[-1] & rows[j])
+    merged = [r for k, r in enumerate(rows[:-1]) if k != j] + [rows[-1] | rows[j]]
+    save_alist(ParityCheckMatrix(merged, H.n_vars), tmp_path / "merged.alist")
+    return "merged.alist"
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "--job", "job.cfg"],
+    ["predict", "--job", "job.cfg", "--stats-source", "spa"],
+    ["stats", "--source", "spa", "--alist", "merged.alist", "--ebn0", "2.8", "--iters", "2",
+     "--frames", "10"],
+], ids=["predict-dde", "predict-spa", "stats-spa"])
+def test_unequal_check_degrees_exit_2(tmp_path, capsys, merged_check_alist, argv):
+    # the largest check degree stood in for all of them: one degree-12 check
+    # in 127 turned the prediction into the (3,12) ensemble's, with exit 0
+    (tmp_path / "sets.txt").write_text("0 1 2 3 4\n")
+    (tmp_path / "job.cfg").write_text(f"code = {merged_check_alist}\nsets = sets.txt\n"
+                                      "snr = 2.8\nhorizon = 2\ncapture_frames = 10\n")
+    assert main(argv + ["--out", "o"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "one check degree, the code has [6, 12]" in err
     assert not list(tmp_path.glob("o.*"))

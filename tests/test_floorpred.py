@@ -61,11 +61,11 @@ def test_codeword_prediction_matches_closed_form(code):
     want = codeword_failure_probability(cfg, 4)
     for horizon in (4, 9):
         stats = stats_from_dde(cfg, 3, 6, n_iters=horizon, saturation=25.0)
-        p = predict_set(code, 3, (0, 1, 2, 3), stats, cfg, horizon, 3)
+        p = predict_set(code, 3, (0, 1, 2, 3), stats, horizon, 3)
         assert p.b == 0
         assert p.p_fail == pytest.approx(want, rel=1e-12)
         assert p.fer_contribution == p.p_fail
-    p2 = predict_set(code, 3, (0, 1, 2, 3), stats, cfg, 9, 3, multiplicity=7)
+    p2 = predict_set(code, 3, (0, 1, 2, 3), stats, 9, 3, multiplicity=7)
     assert p2.fer_contribution == pytest.approx(7 * p2.p_fail)
 
 
