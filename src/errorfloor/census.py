@@ -30,7 +30,6 @@ state digraph.
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass
 
@@ -340,9 +339,8 @@ def emit_table(d_v: int, a_max: int, r_cutoff: float | None = None) -> list[Clas
     return rows
 
 
-def table_to_csv(rows, fh) -> None:
-    """CSV layout mirroring the published census tables."""
-    w = csv.writer(fh)
-    w.writerow(["a", "b", "count", "h_max", "r_min", "r_max"])
-    for row in rows:
-        w.writerow([row.a, row.b, row.count, row.h_max, f"{row.r_min:.6g}", f"{row.r_max:.6g}"])
+def table_to_csv(rows) -> list[tuple]:
+    """Header and cells of the census table, in the column layout of the
+    published tables."""
+    return [("a", "b", "count", "h_max", "r_min", "r_max"),
+            *((r.a, r.b, r.count, r.h_max, r.r_min, r.r_max) for r in rows)]

@@ -7,14 +7,14 @@ them next to a JSON run manifest that records the tool version, the
 merged config, when the run started and finished, and the output paths.
 Result CSVs carry a comment line referencing the manifest; result JSONs
 carry a "manifest" key.  A ValueError anywhere is a rejected value and
-exits 2; any other error exits 3.
+exits 2; any other error exits 3.  No other module encodes results:
+`_table` writes every CSV and `_json` every JSON, all lines end in "\n".
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import io
 import json
 import sys
 import time
@@ -27,6 +27,7 @@ from .census import emit_table, table_to_csv
 from .channel import ChannelConfig
 from .decoder import DecoderConfig
 from .floorpred import (
+    SetPrediction,
     _floats,
     _i,
     _sat,
@@ -184,11 +185,26 @@ def _rate_of(cfg_rate, H) -> float:
     return cfg_rate if cfg_rate is not None else H.rate()
 
 
-def _text(write, *args) -> str:
-    """What `write(*args, fh)` writes to a file handle."""
-    fh = io.StringIO()
-    write(*args, fh)
-    return fh.getvalue()
+def _cell(x, digits: int) -> str:
+    return "" if x is None else f"{x:.{digits}g}" if isinstance(x, float) else str(x)
+
+
+def _table(rows, digits: int = 6) -> str:
+    """CSV text of `rows`: floats to `digits` significant digits, None
+    as an empty cell, anything else through str; every line ends in
+    "\n"."""
+    return "".join(",".join(_cell(x, digits) for x in row) + "\n" for row in rows)
+
+
+def _plain(v):
+    """`json.dumps` hook: numpy arrays and scalars as plain data."""
+    if isinstance(v, (np.ndarray, np.generic)):
+        return v.tolist()
+    raise TypeError(f"{type(v).__name__} is not JSON serializable")
+
+
+def _json(doc) -> str:
+    return json.dumps(doc, indent=2, default=_plain) + "\n"
 
 
 def _stamp() -> str:
@@ -203,10 +219,10 @@ def _write(cmd: str, cfg: dict, started: str, outputs: dict) -> None:
     for ext, body in outputs.items():
         path = Path(f"{cfg['out']}.{ext}")
         if ext == "csv":
-            with open(path, "w", newline="") as fh:
-                fh.write(f"# manifest: {manifest.name}\n{body}")
+            text = f"# manifest: {manifest.name}\n{body}"
         else:
-            path.write_text(json.dumps({"manifest": manifest.name, **body}, indent=2) + "\n")
+            text = _json({"manifest": manifest.name, **body})
+        path.write_text(text, newline="")
         paths.append(str(path))
     doc = {
         "schema": "run-manifest v1",
@@ -218,7 +234,7 @@ def _write(cmd: str, cfg: dict, started: str, outputs: dict) -> None:
         "outputs": paths,
         "finished": _stamp(),
     }
-    manifest.write_text(json.dumps(doc, indent=2) + "\n")
+    manifest.write_text(_json(doc), newline="")
 
 
 def cmd_simulate(cfg: dict) -> dict:
@@ -229,15 +245,11 @@ def cmd_simulate(cfg: dict) -> dict:
     mc = McConfig(max_frames=cfg["frames"], target_errors=cfg["target_errors"], seed=cfg["seed"],
                   workers=cfg["workers"], batch_size=cfg["batch_size"])
     res = run_monte_carlo(H, chan, dec, mc)
-    sat = "" if cfg["sat"] is None else f"{cfg['sat']:.6g}"
-    row = ([f"{chan.ebn0_db:.6g}", f"{chan.rate:.6g}", sat,
-            str(res.frames), str(res.frame_errors), str(res.bit_errors)]
-           + [f"{x:.6g}" for x in (res.fer, *res.fer_ci, res.ber, *res.ber_ci)])
-    return {
-        "csv": "ebn0_db,rate,saturation,frames,frame_errors,bit_errors,"
-               "fer,fer_lo,fer_hi,ber,ber_lo,ber_hi\n" + ",".join(row) + "\n",
-        "json": dataclasses.asdict(res),
-    }
+    rows = [("ebn0_db", "rate", "saturation", "frames", "frame_errors", "bit_errors",
+             "fer", "fer_lo", "fer_hi", "ber", "ber_lo", "ber_hi"),
+            (chan.ebn0_db, chan.rate, cfg["sat"], res.frames, res.frame_errors, res.bit_errors,
+             res.fer, *res.fer_ci, res.ber, *res.ber_ci)]
+    return {"csv": _table(rows), "json": dataclasses.asdict(res)}
 
 
 def cmd_predict(cfg: dict) -> dict:
@@ -255,7 +267,13 @@ def cmd_predict(cfg: dict) -> dict:
     job = dataclasses.replace(job, **edits)
     report = predict_curve(job, workers=cfg["workers"])
     cfg["code_id"] = job.code_id  # recorded in the manifest's config
-    return {"csv": _text(report.to_csv), "json": report.to_dict()}
+    names = ["set" if f.name == "set_index" else f.name for f in dataclasses.fields(SetPrediction)]
+    rows = [("# floor-prediction v1",), ("ebn0_db", *names, "fer_contribution")]
+    rows += [(s, *dataclasses.astuple(p), p.fer_contribution)
+             for s, preds in zip(report.snr_grid, report.breakdown) for p in preds]
+    rows += [(), ("ebn0_db", "fer_bound", "ber_bound"),
+             *zip(report.snr_grid, report.fer, report.ber)]
+    return {"csv": _table(rows), "json": report.to_dict()}
 
 
 def _dde_stats(cfg: dict):
@@ -273,16 +291,20 @@ def _dde_stats(cfg: dict):
                           cfg["sat"])
 
 
+def _iteration_rows(stats) -> list:
+    """Header and per-iteration rows of InputStats columns."""
+    return [("iteration", "m_ex", "var_ex", "g_bar", "p_e"),
+            *((i, *row) for i, row in
+              enumerate(zip(stats.m_ex, stats.var_ex, stats.g_bar, stats.p_e), 1))]
+
+
 def cmd_dde(cfg: dict) -> dict:
-    stats = _dde_stats(cfg)
-    rows = "".join(f"{i}," + ",".join(f"{x:.6g}" for x in row) + "\n" for i, row in
-                   enumerate(zip(stats.m_ex, stats.var_ex, stats.g_bar, stats.p_e), 1))
-    return {"csv": "# dde-table v1\niteration,m_ex,var_ex,g_bar,p_e\n" + rows}
+    return {"csv": _table([("# dde-table v1",), *_iteration_rows(_dde_stats(cfg))])}
 
 
 def cmd_enumerate(cfg: dict) -> dict:
     rows = emit_table(cfg["dv"], cfg["amax"], cfg["r_cutoff"])
-    return {"csv": f"# census v1 dv={cfg['dv']}\n" + _text(table_to_csv, rows)}
+    return {"csv": _table([(f"# census v1 dv={cfg['dv']}",), *table_to_csv(rows)])}
 
 
 def cmd_richardson(cfg: dict) -> dict:
@@ -300,13 +322,12 @@ def cmd_richardson(cfg: dict) -> dict:
         raise ValueError("set references variables outside the code")
     if cfg["s_points"] < 1:
         raise ValueError(f"--s-points must be at least 1, got {cfg['s_points']}")
-    nonsat = cfg["mode"] == "saturation-phase"
-    if nonsat and cfg["sat"] is None:
+    if cfg["mode"] == "saturation-phase" and cfg["sat"] is None:
         raise ValueError("saturation-phase clamps its second phase: give a positive --sat, "
                          "not none")
     chan = ChannelConfig(cfg["ebn0"], _rate_of(cfg["rate"], H))
-    dec = DecoderConfig(mode="pairwise", max_iters=cfg["max_iters"],
-                        saturation=None if nonsat else cfg["sat"], ec_window=cfg["ec_window"])
+    dec = DecoderConfig(mode="pairwise", max_iters=cfg["max_iters"], saturation=cfg["sat"],
+                        ec_window=cfg["ec_window"])
     sa = SemiAnalyticConfig(
         trap_set=T,
         s_grid=tuple(np.linspace(cfg["s_lo"], cfg["s_hi"], cfg["s_points"])),
@@ -314,12 +335,11 @@ def cmd_richardson(cfg: dict) -> dict:
         target_failures=cfg["target_failures"],
         mode=cfg["mode"],
         sat_iters=cfg["sat_iters"],
-        sat_limit=cfg["sat"] if nonsat else SemiAnalyticConfig.sat_limit,
         seed=cfg["seed"],
         refine_rounds=cfg["refine"],
     )
     est = semi_analytic_floor(H, chan, dec, sa, workers=cfg["workers"])
-    return {"json": est.to_dict()}
+    return {"json": dataclasses.asdict(est)}
 
 
 def cmd_stats(cfg: dict) -> dict:
@@ -334,7 +354,9 @@ def cmd_stats(cfg: dict) -> dict:
                                    n_frames=cfg["frames"], seed=cfg["seed"])
     else:
         stats = _dde_stats(cfg)
-    return {"csv": _text(stats.to_csv)}
+    meta = [(f"# {k}", getattr(stats, k))
+            for k in ("source", "d_c", "m_lambda", "ebn0_db", "rate", "saturation")]
+    return {"csv": _table([("# input-stats v1",), *meta, *_iteration_rows(stats)], digits=17)}
 
 
 _COMMANDS = {

@@ -333,41 +333,39 @@ class CaptureAccumulator:
 
     Gain uses the messages *entering* the checks at each iteration (the
     previous iteration's variable outputs), raised to d_c - 2; the
-    mean/variance track check outputs after saturation.
+    mean/variance track check outputs after saturation.  Both hooks run
+    once per iteration on arrays of one shape, so they share one count.
     """
 
     def __init__(self, d_c: int, n_iters: int):
         self.d_c = int(d_c)
         z = np.zeros(n_iters)
+        self._n = z.copy()
         self._tanh_sum = z.copy()
-        self._tanh_n = z.copy()
         self._neg_sum = z.copy()
-        self._neg_n = z.copy()
         self._cv_sum = z.copy()
         self._cv_sq = z.copy()
-        self._cv_n = z.copy()
 
     def pre_check(self, it: int, v2c: np.ndarray) -> None:
+        self._n[it] += v2c.size
         self._tanh_sum[it] += np.tanh(v2c / 2.0).sum()
-        self._tanh_n[it] += v2c.size
         self._neg_sum[it] += np.count_nonzero(v2c < 0)
-        self._neg_n[it] += v2c.size
 
     def post_check(self, it: int, c2v: np.ndarray) -> None:
         self._cv_sum[it] += c2v.sum()
         self._cv_sq[it] += (c2v * c2v).sum()
-        self._cv_n[it] += c2v.size
 
     def results(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Per-iteration columns (m_ex, var_ex, g_bar, p_e) over the
         iterations that saw frames; a frame reaching an iteration passed
         all earlier ones, so these come first."""
-        n = np.count_nonzero(self._cv_n)
-        mean = self._cv_sum[:n] / self._cv_n[:n]
-        var = self._cv_sq[:n] / self._cv_n[:n] - mean * mean
+        n = np.count_nonzero(self._n)
+        count = self._n[:n]
+        mean = self._cv_sum[:n] / count
+        var = self._cv_sq[:n] / count - mean * mean
         # scalar (libm) pow: numpy's vectorized power may differ in the last bit
-        g_bar = np.array([t ** (self.d_c - 2) for t in self._tanh_sum[:n] / self._tanh_n[:n]])
-        return mean, var, g_bar, self._neg_sum[:n] / self._neg_n[:n]
+        g_bar = np.array([t ** (self.d_c - 2) for t in self._tanh_sum[:n] / count])
+        return mean, var, g_bar, self._neg_sum[:n] / count
 
 
 @dataclass

@@ -8,7 +8,6 @@ per-set breakdown.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -46,7 +45,6 @@ class PredictionJob:
     mode: str = "pairwise"
     capture_frames: int = 100
     capture_seed: int = 0
-    code_id: str = ""
 
     def __post_init__(self):
         if not self.sets:
@@ -70,8 +68,10 @@ class PredictionJob:
             raise ValueError("capture_frames must be at least 1")
         if self.capture_seed < 0:
             raise ValueError(f"capture_seed must be non-negative, got {self.capture_seed}")
-        if not self.code_id:
-            object.__setattr__(self, "code_id", code_digest(self.H))
+
+    @property
+    def code_id(self) -> str:
+        return code_digest(self.H)
 
 
 def code_digest(H: ParityCheckMatrix) -> str:
@@ -169,25 +169,6 @@ class PredictionReport:
             "breakdown": [[row(p) for p in rows] for rows in self.breakdown],
         }
 
-    def to_csv(self, fh) -> None:
-        w = csv.writer(fh)
-        w.writerow(["# floor-prediction v1"])
-        w.writerow(
-            ["ebn0_db", "set", "a", "b", "r", "h", "horizon", "mean", "var",
-             "p_fail", "multiplicity", "fer_contribution"]
-        )
-        for s, rows in zip(self.snr_grid, self.breakdown):
-            for p in rows:
-                w.writerow(
-                    [f"{s:.6g}", p.set_index, p.a, p.b, f"{p.r:.6g}", p.h, p.horizon,
-                     f"{p.mean:.6g}", f"{p.var:.6g}", f"{p.p_fail:.6g}", p.multiplicity,
-                     f"{p.fer_contribution:.6g}"]
-                )
-        w.writerow([])
-        w.writerow(["ebn0_db", "fer_bound", "ber_bound"])
-        for s, f, b in zip(self.snr_grid, self.fer, self.ber):
-            w.writerow([f"{s:.6g}", f"{f:.6g}", f"{b:.6g}"])
-
 
 def predict_set(
     H: ParityCheckMatrix,
@@ -245,14 +226,6 @@ def _curve_point(args):
     return fer, ber, rows
 
 
-def _plain(v):
-    """A job field as JSON data: tuples become lists, numpy scalars Python
-    numbers."""
-    if isinstance(v, (tuple, list, np.ndarray)):
-        return [_plain(x) for x in v]
-    return v.item() if isinstance(v, np.generic) else v
-
-
 def predict_curve(job: PredictionJob, workers: int = 1) -> PredictionReport:
     """SNR-swept FER/BER bounds with a per-set breakdown."""
     vd = job.H.var_degrees
@@ -262,8 +235,7 @@ def predict_curve(job: PredictionJob, workers: int = 1) -> PredictionReport:
     tasks = [(job, float(s), d_v, d_c) for s in job.snr_grid]
     outs = list(ordered_map(_curve_point, tasks, workers))
     echo = {"code_id": job.code_id, "n": job.H.n_vars}
-    echo.update((f.name, _plain(getattr(job, f.name))) for f in fields(job)
-                if f.name not in ("H", "code_id"))
+    echo.update((f.name, getattr(job, f.name)) for f in fields(job) if f.name != "H")
     return PredictionReport(
         echo,
         np.asarray(job.snr_grid, dtype=float),

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from contextlib import closing
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -187,6 +187,10 @@ def _rotated_noise(T, s, cfg, rng, n, n_frames):
     return llrs
 
 
+# frames decoded at once per grid point
+_BATCH = 512
+
+
 @dataclass(frozen=True)
 class SemiAnalyticConfig:
     """Importance-sampling plan for one trapping set."""
@@ -197,9 +201,7 @@ class SemiAnalyticConfig:
     target_failures: int = 50
     mode: str = "exact-match"
     sat_iters: int = 20
-    sat_limit: float = 25.0
     seed: int = 0
-    batch_size: int = 512
     refine_rounds: int = 0
 
     def __post_init__(self):
@@ -212,12 +214,10 @@ class SemiAnalyticConfig:
             raise ValueError("s grid must stay below zero")
         if self.mode not in ("exact-match", "saturation-phase"):
             raise ValueError(f"unknown classification mode {self.mode!r}")
-        if self.sat_limit <= 0:
-            raise ValueError("saturation limit must be positive")
         if self.sat_iters < 1:
             raise ValueError("sat_iters must be at least 1")
-        if min(self.frames_per_point, self.batch_size, self.target_failures) < 1:
-            raise ValueError("frames_per_point, batch_size and target_failures must be at least 1")
+        if min(self.frames_per_point, self.target_failures) < 1:
+            raise ValueError("frames_per_point and target_failures must be at least 1")
         if self.refine_rounds < 0:
             raise ValueError("refine_rounds must be at least 0")
         if self.seed < 0:
@@ -249,26 +249,27 @@ def conditional_failure(
 ) -> ConditionalEstimate:
     """P{failure pattern == T | mean noise over T = s} for T = `sa.trap_set`.
 
-    Decodes batches of `sa.batch_size` frames until `sa.frames_per_point`
+    Decodes batches of up to 512 frames until `sa.frames_per_point`
     frames or `sa.target_failures` failures.  exact-match compares the
     decoder's not-eventually-correct set with T directly;
-    saturation-phase first lets the given (non-saturating) decoder run,
-    then appends `sa.sat_iters` iterations clamped at `sa.sat_limit` and
+    saturation-phase first runs the decoder without its clamp, then
+    appends `sa.sat_iters` iterations clamped at `dec.saturation` and
     matches on their trailing `dec.ec_window`.
     """
     T = tuple(sorted(int(v) for v in sa.trap_set))
     mask = np.zeros(H.n_vars, dtype=bool)
     mask[list(T)] = True
-    sat_dec = DecoderConfig(
-        mode=dec.mode, max_iters=sa.sat_iters, saturation=sa.sat_limit,
-        early_stop=False, ec_window=dec.ec_window,
-    )
+    if sa.mode == "saturation-phase":
+        if dec.saturation is None:
+            raise ValueError("saturation-phase needs a decoder with a saturation limit")
+        sat_dec = replace(dec, max_iters=sa.sat_iters, early_stop=False)
+        dec = replace(dec, saturation=None)
 
     fails = 0
     frames = 0
     batch = 0
     while frames < sa.frames_per_point and fails < sa.target_failures:
-        bsize = min(sa.batch_size, sa.frames_per_point - frames)
+        bsize = min(_BATCH, sa.frames_per_point - frames)
         rng = frame_rng(sa.seed, stream_base + batch)
         llrs = _rotated_noise(T, s, cfg, rng, H.n_vars, bsize)
         if sa.mode == "exact-match":
@@ -334,9 +335,6 @@ class FloorEstimate:
     mode: str
     extrapolated_from: float | None = None
     notes: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in asdict(self).items()}
 
 
 def _point_eval(args):

@@ -9,7 +9,6 @@ Gaussian tail probability approximates the failure rate of the set.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -120,19 +119,6 @@ class InputStats:
     @property
     def n_iters(self) -> int:
         return len(self.m_ex)
-
-    def to_csv(self, fh) -> None:
-        w = csv.writer(fh)
-        w.writerow(["# input-stats v1"])
-        w.writerow(["# source", self.source])
-        w.writerow(["# d_c", self.d_c])
-        w.writerow(["# m_lambda", f"{self.m_lambda:.17g}"])
-        w.writerow(["# ebn0_db", f"{self.ebn0_db:.17g}"])
-        w.writerow(["# rate", f"{self.rate:.17g}"])
-        w.writerow(["# saturation", "" if self.saturation is None else f"{self.saturation:.17g}"])
-        w.writerow(["iteration", "m_ex", "var_ex", "g_bar", "p_e"])
-        for i, row in enumerate(zip(self.m_ex, self.var_ex, self.g_bar, self.p_e), 1):
-            w.writerow([i] + [f"{x:.17g}" for x in row])
 
 
 def inversion_probability(p: float, d_c: int) -> float:

@@ -1,6 +1,5 @@
 """Structure census: canonical forms, completeness, table aggregation."""
 
-import io
 import itertools
 
 import numpy as np
@@ -152,14 +151,11 @@ def test_class_row_validation():
 
 def test_table_to_csv_layout():
     rows = emit_table(3, 5)
-    buf = io.StringIO()
-    table_to_csv(rows, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "a,b,count,h_max,r_min,r_max"
-    assert len(lines) == len(rows) + 1
-    first = lines[1].split(",")
-    assert int(first[0]) == rows[0].a
-    assert float(first[4]) == pytest.approx(rows[0].r_min, abs=1e-5)
+    table = table_to_csv(rows)
+    assert table[0] == ("a", "b", "count", "h_max", "r_min", "r_max")
+    assert len(table) == len(rows) + 1
+    r = rows[0]
+    assert table[1] == (r.a, r.b, r.count, r.h_max, r.r_min, r.r_max)
 
 
 # --- the former exhaustive search and per-order augmentation, kept as the

@@ -404,7 +404,13 @@ def test_predict_job_cli(tmp_path, planted_alist):
     assert doc["manifest"] == "p.manifest.json"
     assert len(doc["curve"]) == 2
     assert doc["curve"][0]["fer_bound"] > doc["curve"][1]["fer_bound"]
-    assert (tmp_path / "p.csv").read_text().startswith("# manifest: p.manifest.json")
+    lines = (tmp_path / "p.csv").read_text().splitlines()
+    assert lines[:2] == ["# manifest: p.manifest.json", "# floor-prediction v1"]
+    assert lines[2] == ("ebn0_db,set,a,b,r,h,horizon,mean,var,p_fail,multiplicity,"
+                        "fer_contribution")
+    # breakdown block (one row per SNR and set), blank, then the curve block
+    assert lines[5:7] == ["", "ebn0_db,fer_bound,ber_bound"]
+    assert len(lines) == 9
     # SNR override narrows the grid
     rc = main(["predict", "--job", "job.cfg", "--snr", "2.6", "--out", "q"])
     assert rc == 0

@@ -16,8 +16,11 @@ a two-point job.  They cover
 - `dde`.
 Their CSV and JSON outputs are compared field by field with the files
 under `tests/expected/`: integers and text exactly, floats within 1e-12
-relative (1e-11 for values derived from density evolution).  Manifests
-are not compared.
+relative (1e-11 for values derived from density evolution).  Each run's
+manifest is compared with `<run name>.manifest.json` next to its expected
+files, without the `started` and `finished` stamps and with paths reduced
+to names relative to the run directory or to `tests/expected/inputs/`.
+No output may contain a carriage return: every line ends in "\n".
 
 A change that moves these outputs on purpose regenerates the files and
 states the deviation:
@@ -30,7 +33,9 @@ numpy 2.4); the census values are printed to six significant digits.
 
 import json
 import math
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -87,6 +92,28 @@ def run_output(name: str, out_dir: Path) -> list:
     return [p for p in (prefix.with_suffix(".csv"), prefix.with_suffix(".json")) if p.exists()]
 
 
+def _reduced_manifest(path: Path) -> dict:
+    """The manifest at `path` without its timestamps, its paths reduced
+    to names relative to the run directory or to INPUTS."""
+    doc = json.loads(path.read_text())
+    del doc["started"], doc["finished"]
+
+    def name(v):
+        for base in (path.parent, INPUTS):
+            if isinstance(v, str) and Path(v).is_relative_to(base):
+                return Path(v).relative_to(base).as_posix()
+        return v
+
+    doc["config"] = {k: name(v) for k, v in doc["config"].items()}
+    doc["outputs"] = [name(v) for v in doc["outputs"]]
+    return doc
+
+
+def _assert_lf_only(paths):
+    for path in paths:
+        assert b"\r" not in path.read_bytes(), f"{path.name} has a carriage return"
+
+
 def _same_scalar(got, want, tol: float) -> bool:
     if isinstance(want, float) and isinstance(got, float):
         if math.isnan(want) or math.isnan(got):
@@ -129,35 +156,55 @@ def _parsed(path: Path):
 @pytest.mark.parametrize("d_v", ENUMERATE_DV)
 def test_enumerate_csv_matches_expected(d_v, tmp_path, monkeypatch):
     monkeypatch.setattr(census, "_CENSUS_CACHE", {})
-    want = (EXPECTED / "enumerate" / f"census_dv{d_v}.csv").read_bytes().splitlines(keepends=True)
-    got = run_enumerate(d_v, tmp_path).read_bytes().splitlines(keepends=True)
+    path = run_enumerate(d_v, tmp_path)
+    manifest = path.with_suffix(".manifest.json")
+    _assert_lf_only([path, manifest])
+    want = (EXPECTED / "enumerate" / path.name).read_bytes().splitlines(keepends=True)
+    got = path.read_bytes().splitlines(keepends=True)
     for i, (g, w) in enumerate(zip(got, want)):
         assert g == w, f"d_v={d_v}, line {i + 1}: got {g!r}, expected {w!r}"
     assert len(got) == len(want), f"d_v={d_v}: {len(got)} lines, expected {len(want)}"
+    want_manifest = EXPECTED / "enumerate" / manifest.name
+    _compare(_reduced_manifest(manifest), json.loads(want_manifest.read_text()), 0.0,
+             want_manifest.name)
 
 
 @pytest.mark.parametrize("name", RUNS)
 def test_output_matches_expected(name, tmp_path):
     stem, _, tol = RUNS[name]
     got = run_output(name, tmp_path)
-    want = sorted(EXPECTED.glob(f"{stem}.*"))
+    manifest = tmp_path / f"{Path(stem).name}.manifest.json"
+    _assert_lf_only(got + [manifest])
+    want = sorted(p for p in EXPECTED.glob(f"{stem}.*") if not p.name.endswith(".manifest.json"))
     assert sorted(p.name for p in got) == [p.name for p in want]
     for g, w in zip(sorted(got), want):
         _compare(_parsed(g), _parsed(w), tol, w.name)
+    want_manifest = (EXPECTED / stem).with_name(f"{name}.manifest.json")
+    _compare(_reduced_manifest(manifest), json.loads(want_manifest.read_text()), tol,
+             want_manifest.name)
+
+
+def _save(files: list, manifest: Path, dest: Path, name: str) -> None:
+    """Copies result files into `dest` and writes the reduced manifest
+    there as `<name>.manifest.json`."""
+    dest.mkdir(parents=True, exist_ok=True)
+    for path in files:
+        shutil.copyfile(path, dest / path.name)
+    target = dest / f"{name}.manifest.json"
+    target.write_text(json.dumps(_reduced_manifest(manifest), indent=2) + "\n")
+    for path in [*files, target]:
+        print(f"wrote {dest / path.name}", file=sys.stderr)
 
 
 if __name__ == "__main__":
-    out = EXPECTED / "enumerate"
-    out.mkdir(parents=True, exist_ok=True)
-    for d_v in ENUMERATE_DV:
-        path = run_enumerate(d_v, out)
-        path.with_suffix(".manifest.json").unlink()
-        print(f"wrote {path}", file=sys.stderr)
-    for name, (stem, _, _) in RUNS.items():
-        if Path(stem).name != name:
-            continue  # shares the expected files of another run
-        out = (EXPECTED / stem).parent
-        out.mkdir(parents=True, exist_ok=True)
-        for path in run_output(name, out):
-            print(f"wrote {path}", file=sys.stderr)
-        (out / f"{name}.manifest.json").unlink()
+    with tempfile.TemporaryDirectory() as tmp:
+        for d_v in ENUMERATE_DV:
+            path = run_enumerate(d_v, Path(tmp))
+            _save([path], path.with_suffix(".manifest.json"), EXPECTED / "enumerate", path.stem)
+        for name, (stem, _, _) in RUNS.items():
+            run_dir = Path(tmp) / name
+            run_dir.mkdir()
+            files = run_output(name, run_dir)
+            # a run that shares another run's expected files adds only its manifest
+            _save(files if Path(stem).name == name else [],
+                  run_dir / f"{Path(stem).name}.manifest.json", (EXPECTED / stem).parent, name)

@@ -171,15 +171,10 @@ def test_semi_analytic_config_validation():
         SemiAnalyticConfig(trap_set=(0, 1), s_grid=(-1.0, 0.5))
     with pytest.raises(ValueError):
         SemiAnalyticConfig(trap_set=(0, 1), mode="bogus")
-    # a clamp of 0 or below used to fail only once the first saturated
-    # phase built its decoder
-    for limit in (0.0, -5.0):
-        with pytest.raises(ValueError, match="positive"):
-            SemiAnalyticConfig(trap_set=(0, 1), sat_limit=limit)
 
 
 @pytest.mark.parametrize("kw", [
-    {"frames_per_point": 0}, {"batch_size": 0}, {"target_failures": 0},
+    {"frames_per_point": 0}, {"target_failures": 0},
     {"target_failures": -1}, {"refine_rounds": -1},
 ])
 def test_semi_analytic_config_rejects_degenerate_run_sizes(kw):
@@ -214,8 +209,8 @@ def test_conditional_failure_modes_and_determinism(planted_code):
 
 
 def test_saturation_phase_window_is_the_decoders(planted_code, monkeypatch):
-    # the clamped phase matches on the trailing window of the one decoder
-    # configuration; the plan no longer carries a second copy of it
+    # the second phase is the given decoder at its clamp and window; the
+    # first runs it unclamped
     seen = []
     real = errorfloor.simharness.decode_batch
 
@@ -224,12 +219,14 @@ def test_saturation_phase_window_is_the_decoders(planted_code, monkeypatch):
         return real(H, llrs, cfg, **kw)
 
     monkeypatch.setattr(errorfloor.simharness, "decode_batch", spy)
-    dec = DecoderConfig(mode="pairwise", max_iters=6, saturation=None, ec_window=3)
-    sa = SemiAnalyticConfig(trap_set=(0, 1, 2, 3), frames_per_point=8, batch_size=8,
-                            mode="saturation-phase", sat_iters=5, sat_limit=15.0)
+    dec = DecoderConfig(mode="pairwise", max_iters=6, saturation=15.0, ec_window=3)
+    sa = SemiAnalyticConfig(trap_set=(0, 1, 2, 3), frames_per_point=8,
+                            mode="saturation-phase", sat_iters=5)
     conditional_failure(planted_code, sa, -2.0, CFG, dec)
     assert [(c.max_iters, c.saturation, c.ec_window) for c in seen] == [(6, None, 3),
                                                                         (5, 15.0, 3)]
+    with pytest.raises(ValueError, match="saturation limit"):
+        conditional_failure(planted_code, sa, -2.0, CFG, replace(dec, saturation=None))
 
 
 def test_semi_analytic_refine_grows_grid(planted_code):
@@ -256,12 +253,13 @@ def test_semi_analytic_worker_invariance(planted_code):
     dec = DecoderConfig(mode="pairwise", max_iters=20, saturation=25.0)
     sa = SemiAnalyticConfig(
         trap_set=(0, 1, 2, 3), s_grid=tuple(np.linspace(-2.4, -0.6, 4)),
-        frames_per_point=300, target_failures=20, seed=4, batch_size=128, refine_rounds=2,
+        frames_per_point=300, target_failures=20, seed=4, refine_rounds=2,
     )
     one = semi_analytic_floor(planted_code, CFG, dec, sa, workers=1)
     two = semi_analytic_floor(planted_code, CFG, dec, sa, workers=2)
     assert len(one.s_grid) == 6
-    assert two.to_dict() == one.to_dict()
+    for key, value in asdict(one).items():
+        np.testing.assert_array_equal(getattr(two, key), value, err_msg=key)
     with pytest.raises(ValueError, match="workers"):
         semi_analytic_floor(planted_code, CFG, dec, sa, workers=0)
 
