@@ -157,10 +157,14 @@ def _merge(cmd: str, args: argparse.Namespace) -> dict:
             kv = read_key_values(args.config)
         except OSError as e:
             raise ValueError(f"cannot read config file: {e}") from None
+        seen = set()
         for k, v in kv.items():
             k = k.replace("-", "_")
             if k not in spec:
                 raise ValueError(f"unknown config key {k!r} for {cmd}")
+            if k in seen:
+                raise ValueError(f"key {k!r} repeated in {args.config}")
+            seen.add(k)
             cfg[k] = _coerce(spec[k][0], v, f"{k!r} in {args.config}")
     for dest, (conv, _, _) in spec.items():
         v = getattr(args, dest)

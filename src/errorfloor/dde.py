@@ -337,7 +337,7 @@ def dde_run(
             raise ValueError(f"{name} must be at least 2, got {deg}")
     if n_iters < 1:
         raise ValueError(f"n_iters must be at least 1, got {n_iters}")
-    if saturation is not None and saturation <= 0:
+    if saturation is not None and not saturation > 0:
         raise ValueError("saturation limit must be positive")
     edge = DEFAULT_HALF_BINS * DEFAULT_STEP
     if saturation is not None and saturation >= edge:
@@ -420,17 +420,3 @@ def pointwise_crossing(
             lo = mid
     return 0.5 * (lo + hi)
 
-
-def growth_threshold_irregular(lambda_coeffs, rho_coeffs, delta: float = 1.0) -> float:
-    """Eb/N0 (dB) for an irregular ensemble: R*Eb/N0 > sum_j rho_j
-    ln((j-1)/delta).  Degree distributions are edge-perspective,
-    coefficient index = degree."""
-    lam = {int(d): c for d, c in lambda_coeffs.items() if c}
-    rho = {int(d): c for d, c in rho_coeffs.items() if c}
-    for name, dist in (("lambda", lam), ("rho", rho)):
-        s = sum(dist.values())
-        if abs(s - 1.0) > 1e-9:
-            raise ValueError(f"{name} coefficients must sum to 1")
-    rate = 1.0 - sum(c / d for d, c in rho.items()) / sum(c / d for d, c in lam.items())
-    need = sum(c * math.log((d - 1) / delta) for d, c in rho.items())
-    return 10.0 * math.log10(need / rate)

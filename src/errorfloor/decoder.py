@@ -170,7 +170,7 @@ class DecoderConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; choose from {MODES}")
-        if self.saturation is not None and self.saturation <= 0:
+        if self.saturation is not None and not self.saturation > 0:
             raise ValueError("saturation limit must be positive")
         if self.max_iters < 1 or self.ec_window < 1:
             raise ValueError("max_iters and ec_window must be at least 1")

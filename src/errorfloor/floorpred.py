@@ -60,10 +60,12 @@ class PredictionJob:
             raise ValueError("SNR grid must be strictly increasing")
         if self.source not in ("dde", "spa"):
             raise ValueError(f"unknown stats source {self.source!r}")
-        if self.saturation is not None and self.saturation <= 0:
+        if self.saturation is not None and not self.saturation > 0:
             raise ValueError("saturation limit must be positive")
         if self.horizon < 1:
             raise ValueError("horizon must be positive")
+        if self.inversion_iters < 0:
+            raise ValueError(f"inversion_iters must be non-negative, got {self.inversion_iters}")
         if self.capture_frames < 1:
             raise ValueError("capture_frames must be at least 1")
         if self.capture_seed < 0:
@@ -247,17 +249,21 @@ def predict_curve(job: PredictionJob, workers: int = 1) -> PredictionReport:
 
 def read_key_values(path) -> dict:
     """Flat `key = value` lines of a job or config file; `#` starts a
-    comment and blank lines are skipped."""
-    kv = {}
+    comment, blank lines are skipped and a key may appear once."""
+    kv, first = {}, {}
     with open(path) as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
                 raise ValueError(f"expected 'key = value' in {path}, got {line!r}")
-            k, v = line.split("=", 1)
-            kv[k.strip()] = v.strip()
+            k, v = (x.strip() for x in line.split("=", 1))
+            if k in kv:
+                raise ValueError(
+                    f"key {k!r} repeated on line {lineno} of {path} (first on line {first[k]})"
+                )
+            kv[k], first[k] = v, lineno
     return kv
 
 

@@ -26,10 +26,6 @@ class GridCoverageWarning(UserWarning):
     pass
 
 
-class ExtrapolationWarning(UserWarning):
-    pass
-
-
 def wilson_interval(k: int, n: int, z: float = 1.959963984540054):
     """95% score interval for k successes in n trials."""
     if n == 0:
@@ -208,6 +204,8 @@ class SemiAnalyticConfig:
         if len(self.trap_set) < 1:
             raise ValueError("trapping set must have a >= 1 variables")
         s = np.asarray(self.s_grid, dtype=float)
+        if not np.all(np.isfinite(s)):
+            raise ValueError("s grid must be finite")
         if len(s) < 1 or np.any(np.diff(s) <= 0):
             raise ValueError("s grid must be strictly increasing")
         if s[-1] >= 0:
@@ -333,7 +331,6 @@ class FloorEstimate:
     ebn0_db: float
     rate: float
     mode: str
-    extrapolated_from: float | None = None
     notes: list = field(default_factory=list)
 
 
@@ -397,29 +394,3 @@ def semi_analytic_floor(
         notes=notes,
     )
 
-
-def extrapolate_floor(
-    anchor: FloorEstimate, target: ChannelConfig, max_db_step: float = 1.0
-) -> FloorEstimate:
-    """Re-integrate the anchor's conditional curve against another SNR's
-    mean-noise density, leaving the curve itself untouched."""
-    step = target.ebn0_db - anchor.ebn0_db
-    if abs(step) > max_db_step:
-        raise ValueError(
-            f"extrapolation step {step:+.2f} dB exceeds the configured {max_db_step:.2f} dB range"
-        )
-    notes = list(anchor.notes)
-    if step != 0.0:
-        msg = (
-            f"conditional curve held from {anchor.ebn0_db:.2f} dB; real floors fall faster "
-            "with SNR than this local extrapolation"
-        )
-        warnings.warn(msg, ExtrapolationWarning, stacklevel=2)
-        notes.append(msg)
-    value = integrate_floor(anchor.s_grid, anchor.cond, target, anchor.a, warn=False)
-    v_lo = integrate_floor(anchor.s_grid, anchor.cond_lo, target, anchor.a, warn=False)
-    v_hi = integrate_floor(anchor.s_grid, anchor.cond_hi, target, anchor.a, warn=False)
-    arrays = {k: getattr(anchor, k).copy()
-              for k in ("s_grid", "cond", "cond_lo", "cond_hi", "frames")}
-    return replace(anchor, value=value, ci=(v_lo, v_hi), ebn0_db=target.ebn0_db,
-                   rate=target.rate, extrapolated_from=anchor.ebn0_db, notes=notes, **arrays)

@@ -34,18 +34,6 @@ def _arcs(B: np.ndarray) -> tuple[list[list[int]], list[list[int]]]:
     return succ, pred
 
 
-def is_irreducible(M) -> bool:
-    """One strongly connected component."""
-    return len(_sccs(*_arcs(_as_square(M) > 0))) == 1
-
-
-def is_primitive(M) -> bool:
-    """Irreducible with period 1 (Perron-Frobenius)."""
-    succ, pred = _arcs(_as_square(M) > 0)
-    comps = _sccs(succ, pred)
-    return len(comps) == 1 and _aperiodic(succ, _period(succ, comps[0]))
-
-
 def _aperiodic(succ, h: int) -> bool:
     """Period 1 of an irreducible matrix; a single state has a cycle only
     through its self loop."""

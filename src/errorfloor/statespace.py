@@ -213,30 +213,3 @@ def union_bounds(probs, mults, set_sizes, n):
     fer = float(np.sum(mults * probs))
     ber = float(np.sum(mults * sizes / n * probs))
     return fer, ber
-
-
-@dataclass
-class RatioVerdict:
-    rho: float
-    verdict: str  # "diverges" | "converges" | "inconclusive"
-
-
-def ratio_test(means, r: float, tol: float = 0.02) -> RatioVerdict:
-    """Tail estimate of rho = lim m_{i+1} / (m_i * r).
-
-    rho > 1 means the mean LLR path outgrows the dominant model gain
-    (prediction: no trapping failure); the verdict is inconclusive
-    within `tol` of 1."""
-    means = np.asarray(means, dtype=float)
-    if len(means) < 2:
-        raise ValueError("need at least two iterations")
-    ratios = means[1:] / (means[:-1] * r)
-    tail = ratios[-3:] if len(ratios) >= 3 else ratios
-    rho = float(np.median(tail))
-    if rho > 1.0 + tol:
-        verdict = "diverges"
-    elif rho < 1.0 - tol:
-        verdict = "converges"
-    else:
-        verdict = "inconclusive"
-    return RatioVerdict(rho, verdict)

@@ -21,11 +21,6 @@ ALLOWED = {
     "growth_threshold_pointwise": "acceptance criterion 7",
     "pointwise_crossing": "acceptance criterion 7",
     "codeword_failure_probability": "acceptance criterion 8",
-    "growth_threshold_irregular": "paper analysis: growth threshold of irregular ensembles",
-    "ratio_test": "paper analysis: divergence verdict of the mean-LLR path",
-    "extrapolate_floor": "paper analysis: floor re-integrated at a nearby SNR",
-    "is_irreducible": "paper analysis: Perron-Frobenius class of a state matrix",
-    "is_primitive": "paper analysis: Perron-Frobenius class of a state matrix",
 }
 
 

@@ -146,6 +146,15 @@ def test_bad_config_file_values_exit_2(tmp_path, capsys):
     (tmp_path / "inf.cfg").write_text("ebn0 = 2.0\niters = inf\n")
     assert main(["dde", "--config", "inf.cfg"]) == 2
     assert main(["dde", "--ebn0", "2.0", "--iters", "inf"]) == 2
+    # the last of two equal keys won; `-` and `_` spell one key
+    for cmd, text, msg in (("dde", "ebn0 = 2.0\niters = 2\n\nebn0 = 2.8\n",
+                            "key 'ebn0' repeated on line 4 of twice.cfg"),
+                           ("enumerate", "amax = 4\nr-cutoff = 1\nr_cutoff = 2\n",
+                            "key 'r_cutoff' repeated in twice.cfg")):
+        (tmp_path / "twice.cfg").write_text(text)
+        assert main([cmd, "--config", "twice.cfg", "--out", "d"]) == 2
+        assert msg in capsys.readouterr().err
+        assert not list(tmp_path.glob("d.*"))
 
 
 def test_iteration_counts_below_one_exit_2(tmp_path, alist, capsys):
@@ -212,7 +221,7 @@ def test_predict_overrides_failing_job_validation_exit_2(tmp_path, planted_alist
         f"code = {planted_alist}\nsets = sets.txt\nsnr = 2.6\nhorizon = 2\n"
     )
     for flags in (["--stats-source", "foo"], ["--horizon", "0"], ["--snr", "3,2"],
-                  ["--workers", "0"]):
+                  ["--workers", "0"], ["--inversion-iters", "-1"]):
         assert main(["predict", "--job", "job.cfg", *flags, "--out", "p"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "runtime" not in err
@@ -235,7 +244,8 @@ def test_richardson_rejects_degenerate_run_sizes(tmp_path, alist, capsys):
     for flags, msg in ((["--frames-per-point", "0"], "at least 1"),
                        (["--target-failures", "0"], "at least 1"),
                        (["--refine", "-1"], "at least 0"),
-                       (["--workers", "0"], "workers")):
+                       (["--workers", "0"], "workers"),
+                       (["--s-lo", "nan"], "finite")):
         assert main(base + flags) == 2
         assert msg in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
@@ -253,7 +263,9 @@ def test_richardson_rejects_s_points_below_one(tmp_path, alist, capsys, points):
 
 def test_non_positive_clamps_exit_2(tmp_path, planted_alist, capsys):
     # dde and stats exited 0 with a table of nan (--sat -5) or m_ex = 0
-    # (--sat 0), and predict ran on the same statistics
+    # (--sat 0), and predict ran on the same statistics; --sat nan passed
+    # every `<= 0` check, so simulate printed FER 0 and richardson a floor
+    # of 0.0
     (tmp_path / "sets.txt").write_text("0 1 2 3\n")
     (tmp_path / "job.cfg").write_text(
         f"code = {planted_alist}\nsets = sets.txt\nsnr = 2.6\nhorizon = 2\n"
@@ -261,10 +273,11 @@ def test_non_positive_clamps_exit_2(tmp_path, planted_alist, capsys):
     runs = (["dde", "--ebn0", "2.8", "--iters", "2"],
             ["stats", "--ebn0", "2.8", "--iters", "2"],
             ["predict", "--job", "job.cfg"],
+            ["simulate", "--alist", planted_alist, "--ebn0", "0.5", "--frames", "16"],
             ["richardson", "--alist", planted_alist, "--set", "sets.txt", "--ebn0", "2.4",
              "--mode", "saturation-phase", "--s-points", "1", "--s-lo", "-1.5",
              "--s-hi", "-1.0", "--frames-per-point", "16", "--refine", "0"])
-    for sat in ("-5", "0"):
+    for sat in ("-5", "0", "nan"):
         for argv in runs:
             assert main(argv + ["--sat", sat, "--out", "o"]) == 2
             assert "positive" in capsys.readouterr().err
@@ -321,7 +334,8 @@ def test_predict_job_file_errors_exit_2(tmp_path, planted_alist, capsys):
     (tmp_path / "sets.txt").write_text("0 1 2 3\n")
     head = f"code = {planted_alist}\nsets = sets.txt\nsnr = 2.6\n"
     for line, msg in (("horizn = 5\n", "horizn"), ("horizon = 2.5\n", "integer"),
-                      ("saturation = 0\n", "positive")):
+                      ("saturation = 0\n", "positive"),
+                      ("snr = 3.0\n", "key 'snr' repeated on line 4 of job.cfg")):
         (tmp_path / "job.cfg").write_text(head + line)
         assert main(["predict", "--job", "job.cfg", "--out", "p"]) == 2
         assert msg in capsys.readouterr().err
@@ -358,7 +372,7 @@ def test_richardson_json_key_order(tmp_path, planted_alist):
                  "--out", "r"]) == 0
     doc = json.loads((tmp_path / "r.json").read_text())
     assert list(doc) == ["manifest", "value", "ci", "s_grid", "cond", "cond_lo", "cond_hi",
-                         "frames", "a", "ebn0_db", "rate", "mode", "extrapolated_from", "notes"]
+                         "frames", "a", "ebn0_db", "rate", "mode", "notes"]
 
 
 def test_predict_json_key_order(tmp_path, planted_alist):

@@ -23,7 +23,6 @@ from errorfloor.dde import (
     channel_pmf,
     check_transform,
     dde_run,
-    growth_threshold_irregular,
     growth_threshold_pointwise,
     growth_threshold_regular,
     pointwise_crossing,
@@ -388,13 +387,6 @@ def test_growth_threshold_regular_value():
     assert thr == pytest.approx(5.077, abs=1e-3)
     # larger delta relaxes the requirement
     assert growth_threshold_regular(3, 6, delta=1.5) < thr
-
-
-def test_growth_threshold_irregular_degenerates_to_regular():
-    thr = growth_threshold_irregular({3: 1.0}, {6: 1.0})
-    assert thr == pytest.approx(growth_threshold_regular(3, 6), rel=1e-12)
-    with pytest.raises(ValueError):
-        growth_threshold_irregular({3: 0.9}, {6: 1.0})
 
 
 def test_pointwise_crossing_monotone_in_r():

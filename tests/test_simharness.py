@@ -14,14 +14,11 @@ import errorfloor.simharness
 from errorfloor.channel import ChannelConfig, frame_rng, qfunc
 from errorfloor.decoder import DecoderConfig
 from errorfloor.simharness import (
-    ExtrapolationWarning,
-    FloorEstimate,
     GridCoverageWarning,
     McConfig,
     SemiAnalyticConfig,
     _rotated_noise,
     conditional_failure,
-    extrapolate_floor,
     integrate_floor,
     run_monte_carlo,
     semi_analytic_floor,
@@ -171,6 +168,9 @@ def test_semi_analytic_config_validation():
         SemiAnalyticConfig(trap_set=(0, 1), s_grid=(-1.0, 0.5))
     with pytest.raises(ValueError):
         SemiAnalyticConfig(trap_set=(0, 1), mode="bogus")
+    for bad in (float("nan"), -float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            SemiAnalyticConfig(trap_set=(0, 1), s_grid=(bad, -1.0))
 
 
 @pytest.mark.parametrize("kw", [
@@ -262,29 +262,3 @@ def test_semi_analytic_worker_invariance(planted_code):
         np.testing.assert_array_equal(getattr(two, key), value, err_msg=key)
     with pytest.raises(ValueError, match="workers"):
         semi_analytic_floor(planted_code, CFG, dec, sa, workers=0)
-
-
-def test_extrapolate_floor_behaviour():
-    grid = np.linspace(-2.0, -0.5, 4)
-    cond = np.array([1.0, 0.8, 0.2, 0.01])
-    cfg0 = ChannelConfig(2.0, 0.5)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", GridCoverageWarning)
-        value = integrate_floor(grid, cond, cfg0, a=4, warn=False)
-    anchor = FloorEstimate(
-        value=value, ci=(0.8 * value, 1.2 * value), s_grid=grid,
-        cond=cond,
-        cond_lo=0.9 * cond,
-        cond_hi=np.minimum(1.1 * cond, 1.0),
-        frames=np.full(4, 1000), a=4, ebn0_db=2.0, rate=0.5, mode="exact-match",
-    )
-    same = extrapolate_floor(anchor, cfg0)
-    assert same.value == pytest.approx(anchor.value, rel=1e-9)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", ExtrapolationWarning)
-        with pytest.warns(ExtrapolationWarning):
-            shifted = extrapolate_floor(anchor, ChannelConfig(2.5, 0.5))
-    assert shifted.value < anchor.value  # higher SNR, lower floor
-    assert shifted.extrapolated_from == 2.0
-    with pytest.raises(ValueError):
-        extrapolate_floor(anchor, ChannelConfig(3.5, 0.5))

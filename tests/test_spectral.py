@@ -5,10 +5,12 @@ import pytest
 
 from errorfloor.graphs import Multigraph, multigraph_to_digraph
 from errorfloor.spectral import (
+    _aperiodic,
+    _arcs,
+    _period,
     _power_iteration,
+    _sccs,
     frobenius_bounds,
-    is_irreducible,
-    is_primitive,
     spectral_summary,
 )
 
@@ -21,32 +23,35 @@ def random_nonneg(rng, m, density=0.5):
 
 
 def test_irreducibility_classics():
-    assert is_irreducible(CYCLE4)
+    assert spectral_summary(CYCLE4).irreducible
     block = np.zeros((4, 4))
     block[:2, :2] = 1
     block[2:, 2:] = 1
-    assert not is_irreducible(block)
+    assert not spectral_summary(block).irreducible
     upper = np.triu(np.ones((3, 3)), k=1)
-    assert not is_irreducible(upper)
+    with pytest.raises(ValueError, match="nilpotent"):
+        spectral_summary(upper)
 
 
 def test_boolean_powers_do_not_wrap():
     # regression: products ran in uint8, so an entry counting 256 paths
     # wrapped to 0 and this all-ones matrix read as reducible
-    assert is_irreducible(np.ones((256, 256)))
+    assert spectral_summary(np.ones((256, 256))).irreducible
     ring = np.roll(np.eye(300), 1, axis=1)
     ring[:, 0] = 1  # every state feeds state 0: 300 paths into it
-    assert is_irreducible(ring)
-    assert is_primitive(ring)
+    s = spectral_summary(ring)
+    assert s.irreducible
+    assert s.primitive
 
 
 def test_primitivity_classics():
-    assert not is_primitive(CYCLE4)  # irreducible but periodic
+    assert not spectral_summary(CYCLE4).primitive  # irreducible but periodic
     loop = CYCLE4.copy()
     loop[0, 0] = 1  # self loop breaks the period
-    assert is_primitive(loop)
-    assert is_primitive(np.ones((3, 3)))
-    assert not is_primitive(np.triu(np.ones((3, 3)), k=1))
+    assert spectral_summary(loop).primitive
+    assert spectral_summary(np.ones((3, 3))).primitive
+    with pytest.raises(ValueError, match="nilpotent"):
+        spectral_summary(np.triu(np.ones((3, 3)), k=1))
 
 
 def test_rejects_bad_input():
@@ -137,6 +142,18 @@ def _oracle_primitive(M):
     return _oracle_irreducible(M) and _oracle_bool_power_positive(M > 0, (m - 1) * m + 1)
 
 
+def _scc_flags(M):
+    """The irreducible and primitive flags as spectral_summary derives
+    them.  Not spectral_summary itself: random matrices where one
+    component of radius r feeds another of radius r, such as [[1,0],[1,1]],
+    stall its power iteration, and a non-backtracking state digraph never
+    has such a pair."""
+    succ, pred = _arcs(M > 0)
+    comps = _sccs(succ, pred)
+    irreducible = len(comps) == 1
+    return irreducible, irreducible and _aperiodic(succ, _period(succ, comps[0]))
+
+
 def test_scc_tests_match_matrix_power_oracle():
     rng = np.random.default_rng(5)
     cases = [np.zeros((1, 1)), np.ones((1, 1)), CYCLE4, np.ones((256, 256)),
@@ -149,7 +166,7 @@ def test_scc_tests_match_matrix_power_oracle():
         cases.append((rng.random((m, m)) < rng.choice([0.1, 0.25, 0.5])).astype(float))
     seen = set()
     for M in cases:
-        got = (is_irreducible(M), is_primitive(M))
+        got = _scc_flags(M)
         assert got == (_oracle_irreducible(M), _oracle_primitive(M))
         seen.add(got)
     assert seen == {(False, False), (True, False), (True, True)}

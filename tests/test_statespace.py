@@ -15,7 +15,6 @@ from errorfloor.statespace import (
     failure_probability,
     gain_schedule,
     inversion_probability,
-    ratio_test,
     union_bounds,
 )
 from errorfloor.tanner import induce, random_regular_code
@@ -123,13 +122,3 @@ def test_union_bounds_hand_case():
     fer, ber = union_bounds([1e-3, 1e-5], [2, 3], [4, 5], n=100)
     assert fer == pytest.approx(2e-3 + 3e-5, rel=1e-12)
     assert ber == pytest.approx(2e-3 * 4 / 100 + 3e-5 * 5 / 100, rel=1e-12)
-
-
-def test_ratio_test_verdicts():
-    base = 1.5 ** np.arange(8)
-    assert ratio_test(base * 1.0, r=1.5).verdict == "inconclusive"
-    assert ratio_test(1.7 ** np.arange(8), r=1.5).verdict == "diverges"
-    assert ratio_test(1.2 ** np.arange(8), r=1.5).verdict == "converges"
-    assert ratio_test(base, r=1.5).rho == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        ratio_test([1.0], r=1.5)
