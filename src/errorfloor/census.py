@@ -31,6 +31,7 @@ state digraph.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .graphs import Multigraph, multigraph_to_digraph
@@ -323,6 +324,8 @@ def emit_table(d_v: int, a_max: int, r_cutoff: float | None = None) -> list[Clas
         raise ValueError(f"d_v must be at least 2, got {d_v}")
     if a_max < 2:
         raise ValueError(f"a_max must be at least 2, got {a_max}")
+    if r_cutoff is not None and not math.isfinite(r_cutoff):
+        raise ValueError(f"r_cutoff must be finite, got {r_cutoff}")
     _augmented_census(a_max, d_v)  # one chain serves every order below
     dmin = d_v // 2 + 1
     rows = []

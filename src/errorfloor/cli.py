@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -54,7 +55,8 @@ _SPECS = {
         "frames": (_i, 100_000, "frame budget"),
         "target_errors": (_i, None, "stop after this many frame errors"),
         "seed": (_i, 0, "run seed"),
-        "batch_size": (_i, 256, "frames per batch"),
+        "batch_size": (_i, 256, "frames per batch; batch b draws its noise from "
+                       "frame_rng(seed, b), so results depend on seed and batch size"),
         "workers": (_i, 1, "parallel workers"),
         "out": (str, "simulate", "output prefix"),
     },
@@ -80,7 +82,7 @@ _SPECS = {
     "enumerate": {
         "dv": (_i, 3, "variable degree"),
         "amax": (_i, 8, "largest set size"),
-        "r_cutoff": (_sat, None, "keep only rows with r_max above this"),
+        "r_cutoff": (float, None, "keep only rows with r_max above this; omit for no cutoff"),
         "out": (str, "census", "output prefix"),
     },
     "richardson": {
@@ -307,7 +309,10 @@ def cmd_dde(cfg: dict) -> dict:
 
 
 def cmd_enumerate(cfg: dict) -> dict:
-    rows = emit_table(cfg["dv"], cfg["amax"], cfg["r_cutoff"])
+    cut = cfg["r_cutoff"]
+    if cut is not None and not math.isfinite(cut):
+        raise ValueError(f"--r-cutoff must be finite, got {cut}; omit it for no cutoff")
+    rows = emit_table(cfg["dv"], cfg["amax"], cut)
     return {"csv": _table([(f"# census v1 dv={cfg['dv']}",), *table_to_csv(rows)])}
 
 

@@ -40,7 +40,10 @@ def wilson_interval(k: int, n: int, z: float = 1.959963984540054):
 @dataclass(frozen=True)
 class McConfig:
     """Monte Carlo run shape.  Results depend only on (seed, batch_size),
-    never on the worker count."""
+    never on the worker count: batch b draws its frames from
+    `frame_rng(seed, b)`, so batch_size sets which frames share a random
+    stream.  It does not set the decoder's compute width, which runs the
+    check pass in row blocks of its own."""
 
     max_frames: int = 100_000
     target_errors: int | None = None

@@ -213,6 +213,19 @@ def test_enumerate_rejects_degenerate_sizes(tmp_path, capsys):
     assert rows == ["3,0,1,3,1,1", "4,0,1,4,1,1"]  # the cycles
 
 
+def test_enumerate_rejects_non_finite_r_cutoff(tmp_path, capsys):
+    # nan exited 0 with a header-only table and inf ran with no cutoff:
+    # both went through the --sat converter
+    for cut in ("nan", "inf", "-inf"):
+        assert main(["enumerate", "--dv", "3", "--amax", "4", f"--r-cutoff={cut}", "--out", "e"]) == 2
+        assert "--r-cutoff must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "e.csv").exists()
+    with pytest.raises(ValueError, match="r_cutoff must be finite"):
+        emit_table(3, 4, r_cutoff=float("nan"))
+    assert main(["enumerate", "--dv", "3", "--amax", "4", "--out", "e"]) == 0
+    assert len((tmp_path / "e.csv").read_text().splitlines()) == 7
+
+
 def test_predict_overrides_failing_job_validation_exit_2(tmp_path, planted_alist, capsys):
     # these used to exit 3: the overrides were applied outside the
     # configuration-error mapping

@@ -1,5 +1,6 @@
 """Check-node update rules and the batch message-passing decoder."""
 
+import dataclasses
 import json
 import math
 import warnings
@@ -23,6 +24,7 @@ from errorfloor.decoder import (
     _layout,
     _unclamped_v2c,
     _Workspace,
+    _block_rows,
     check_update_approx,
     check_update_exact,
     check_update_minsum,
@@ -342,7 +344,7 @@ def _kernel_inputs(rng, F, E, special):
 
 @pytest.mark.parametrize("mode", ["pairwise", "approx", "min-sum"])
 @pytest.mark.parametrize("which", ["regular", "irregular"])
-def test_check_kernel_matches_signed_oracle(mode, which, code, irregular_code):
+def test_check_kernel_matches_signed_oracle(mode, which, code, irregular_code, monkeypatch):
     H = code if which == "regular" else irregular_code
     lay = _layout(H)
     rng = np.random.default_rng(len(mode) + 7 * len(which))
@@ -358,6 +360,59 @@ def test_check_kernel_matches_signed_oracle(mode, which, code, irregular_code):
         np.testing.assert_allclose(
             _check_pass(x, lay, mode), _oracle_check_pass(x, lay, mode), rtol=0, atol=1e-12
         )
+    # two full row blocks and a partial one give the bits of one block.
+    # So many rows also draw magnitudes ~1e-16 without `special`: the
+    # recursion can carry one across zero, and an exact-zero input then
+    # leaves ~3e-17 where the oracle gives 0, blocked or not
+    F = 2 * _block_rows(lay) + 3
+    for special in (False, True):
+        x = _kernel_inputs(rng, F, lay.E, special)
+        out = _check_pass(x, lay, mode)
+        with monkeypatch.context() as mp:
+            mp.setattr(decoder_mod, "_BLOCK_BYTES", 1 << 40)
+            whole = _check_pass(x, lay, mode)
+        assert np.array_equal(out.view(np.int64), whole.view(np.int64))
+        ref = _oracle_check_pass(x, lay, mode)
+        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
+        if not special:
+            far = np.abs(ref) > 1e-12
+            assert np.array_equal(out[far].view(np.int64), ref[far].view(np.int64))
+
+
+def _decode_all_ways(H, llrs, dec):
+    """Every decode_batch output that row blocking could move: a plain
+    run, the state after 3 iterations, the run resumed from that state,
+    and the capture statistics."""
+    state = decode_batch(H, llrs, dec, return_state=True)
+    pre = decode_batch(H, llrs, dataclasses.replace(dec, max_iters=3), return_state=True)
+    resumed = decode_batch(H, llrs, dec, init_v2c=pre.state_v2c)
+    cap = CaptureAccumulator(int(H.chk_degrees.max()), dec.max_iters)
+    decode_batch(H, llrs, dec, capture=cap)
+    return [decode_batch(H, llrs, dec), state, pre, resumed], cap.results()
+
+
+@pytest.mark.parametrize("mode", ["pairwise", "approx", "min-sum", "exact-tanh"])
+@pytest.mark.parametrize("which", ["regular", "irregular"])
+def test_row_blocks_do_not_move_outputs(mode, which, code, irregular_code, monkeypatch):
+    H = code if which == "regular" else irregular_code
+    lay = _layout(H)
+    # with at most six other inputs clamped at 4, exact-tanh's inputs stay
+    # below its rounding point
+    sat = 4.0 if mode == "exact-tanh" else 25.0
+    dec = DecoderConfig(mode=mode, max_iters=8, saturation=sat)
+    llrs = clean_llrs(H, ChannelConfig(1.0, 0.5), 23, seed=14)
+    monkeypatch.setattr(decoder_mod, "_BLOCK_BYTES", 1 << 40)
+    assert _block_rows(lay) >= 23
+    whole, whole_stats = _decode_all_ways(H, llrs, dec)
+    monkeypatch.setattr(decoder_mod, "_BLOCK_BYTES", 3 * 8 * lay.chk_eid.shape[1] * lay.m)
+    assert _block_rows(lay) == 3
+    blocked, blocked_stats = _decode_all_ways(H, llrs, dec)
+    for got, want in zip(blocked, whole):
+        _assert_same_batch(got, want)
+        if want.state_v2c is not None:
+            assert np.array_equal(got.state_v2c.view(np.int64), want.state_v2c.view(np.int64))
+    for got, want in zip(blocked_stats, whole_stats):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize("early_stop", [True, False])
