@@ -9,8 +9,10 @@ The other runs use the committed inputs in `tests/expected/inputs/`: a
 a two-point job.  They cover
 - `predict` (dde and spa sources);
 - `stats` (dde source unclamped, spa source clamped);
-- `simulate` at one and two workers, which share one expected file, and a
-  run stopped by `--target-errors`;
+- `simulate` at one and two workers, which share one expected file, a
+  run stopped by `--target-errors`, and one 2,048-frame batch at 5 dB that
+  spans several decoder row blocks while its frames leave the batch at a
+  dozen different iterations;
 - `richardson` in exact-match and saturation-phase mode with one grid
   refinement;
 - `dde`.
@@ -68,6 +70,8 @@ RUNS = {
                                                            "--workers", "2"], 1e-12),
     "simulate_target": ("simulate/simulate_target", SIMULATE + [
         "--frames", "1024", "--batch-size", "32", "--target-errors", "20"], 1e-12),
+    "simulate_wide": ("simulate/simulate_wide", SIMULATE[:3] + ["--ebn0", "5.0"] + SIMULATE[5:] + [
+        "--frames", "2048", "--batch-size", "2048"], 1e-12),
     "richardson_exact": ("richardson/richardson_exact", RICHARDSON, 1e-12),
     "richardson_saturation": ("richardson/richardson_saturation", RICHARDSON + [
         "--mode", "saturation-phase", "--sat-iters", "5"], 1e-12),
