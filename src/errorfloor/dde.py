@@ -75,6 +75,20 @@ class _Band(NamedTuple):
 
 _BAND_CACHE: dict = {}
 
+# magnitudes per block of the scan for p0, which so never holds the whole
+# [half, 2, w + 1] table (some 30 MB of transients on the default grid)
+_BAND_BLOCK = 256
+
+
+def _band_rows(delta: float, half: int, w: int, lo: int, hi: int):
+    """Bins of the magnitude pairs (m, m + u) for m in lo..hi - 1 and u in
+    0..w, laid out (m, sign class, u), and which of them are on the grid."""
+    m = np.arange(lo, hi)[:, None]
+    q = m + np.arange(w + 1)
+    a, b = m.astype(float) * delta, q.astype(float) * delta
+    idx = np.stack([_pair_bins(a, b, delta), _pair_bins(a, -b, delta)], axis=1)
+    return idx, (q <= half)[:, None, :]
+
 
 def _band(delta: float, half: int) -> _Band:
     """Pair table on the band for magnitude pairs (m, m + u), m in
@@ -86,23 +100,33 @@ def _band(delta: float, half: int) -> _Band:
     p0 is the smallest magnitude from which every on-grid pair's output
     magnitude minus m depends only on (class, u).  The shift is claimed
     only where every gap is seen on at least two magnitudes; otherwise
-    the grid has no shifted region and p0 is half + 1."""
+    the grid has no shifted region and p0 is half + 1.  The magnitudes
+    are scanned for p0 in blocks from the top down, and the bins kept
+    for m < p0 are built last."""
     key = (round(delta, 12), half)
     if key not in _BAND_CACHE:
         w = min(_band_width(delta), half - 1)
         gaps = np.arange(w + 1)
-        m = np.arange(1, half + 1)[:, None]
-        q = m + gaps
-        a, b = m.astype(float) * delta, q.astype(float) * delta
-        idx = np.stack([_pair_bins(a, b, delta), _pair_bins(a, -b, delta)], axis=1)
-        on_grid = (q <= half)[:, None, :]
-        shift = idx * np.array([1, -1])[:, None] - m[:, :, None]
-        top = shift[half - 1 - gaps, :, gaps]  # (u, class) at the largest on-grid m
-        varies = (shift != top.T) & on_grid
-        p0 = int(np.flatnonzero(varies.any(axis=(1, 2))).max(initial=-1)) + 2
+        sign = np.array([1, -1])[:, None]
+
+        def shifts(lo, hi):
+            idx, on_grid = _band_rows(delta, half, w, lo, hi)
+            return idx * sign - np.arange(lo, hi)[:, None, None], on_grid
+
+        last, _ = shifts(half - w, half + 1)
+        top = last[w - gaps, :, gaps]  # (u, class) at the largest on-grid m, half - u
+        p0 = 1
+        for hi in range(half + 1, 1, -_BAND_BLOCK):
+            lo = max(hi - _BAND_BLOCK, 1)
+            shift, on_grid = shifts(lo, hi)
+            varies = np.flatnonzero(((shift != top.T) & on_grid).any(axis=(1, 2)))
+            if varies.size:
+                p0 = lo + int(varies[-1]) + 1
+                break
         if p0 + w >= half:
             p0 = half + 1
-        low = np.where(on_grid, idx, 0)[: p0 - 1] + half
+        idx, on_grid = _band_rows(delta, half, w, 1, p0)
+        low = np.where(on_grid, idx, 0) + half
         starts = np.flatnonzero(np.r_[True, (top[1:] != top[:-1]).any(axis=1)])
         _BAND_CACHE[key] = _Band(w, p0, low.ravel(), low[:, :, 1:].ravel(), starts,
                                  np.ascontiguousarray(top[starts].T))

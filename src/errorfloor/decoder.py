@@ -240,7 +240,8 @@ _BLOCK_BYTES = 768 * 1024
 
 
 def _block_rows(lay: _Layout) -> int:
-    """Rows per check-pass block: the byte budget over one row's buffer."""
+    """Rows per block of a decoder iteration: the byte budget over one
+    row's check-pass buffer."""
     return max(1, _BLOCK_BYTES // (8 * lay.chk_eid.shape[1] * lay.m))
 
 
@@ -401,39 +402,45 @@ class BatchResult:
     state_v2c: np.ndarray | None = None  # [F, E] messages after the last iteration
 
 
-def _unclamped_v2c(soft, c2v, ch, lay: _Layout) -> np.ndarray:
-    """Variable-to-check messages soft - c2v when check outputs are not
-    clamped.  A degree-1 check sends +inf, which degree-2 checks pass on;
-    on such an edge soft - c2v would be inf - inf, so the message there is
-    the channel value plus the variable's other inputs (+inf when one of
-    them is infinite too).  Channel values are finite and a check output
-    is infinite only when all its other inputs are, so every infinite
-    output is +inf."""
+def _unclamped_v2c(soft, c2v, ch, lay: _Layout, out) -> np.ndarray:
+    """Writes the variable-to-check messages soft - c2v into `out` when
+    check outputs are not clamped.  A degree-1 check sends +inf, which
+    degree-2 checks pass on; on such an edge soft - c2v would be inf - inf,
+    so the message there is the channel value plus the variable's other
+    inputs (+inf when one of them is infinite too).  Channel values are
+    finite and a check output is infinite only when all its other inputs
+    are, so every infinite output is +inf."""
+    np.take(soft, lay.edge_var, axis=1, out=out, mode="clip")
     inf = np.isinf(c2v)
     if not inf.any():
-        return np.take(soft, lay.edge_var, axis=1) - c2v
+        return np.subtract(out, c2v, out=out)
     fin = np.where(inf, 0.0, c2v)
-    v2c = np.take(soft, lay.edge_var, axis=1) - fin
+    np.subtract(out, fin, out=out)
     rest = ch + _gather(fin, lay.var_eid, 0.0, lay.var_padded).sum(axis=1)
     n_inf = _gather(inf, lay.var_eid, False, lay.var_padded).sum(axis=1)
     others = np.where(n_inf > 1, np.inf, rest)
-    v2c[inf] = np.take(others, lay.edge_var, axis=1)[inf]
-    return v2c
+    out[inf] = np.take(others, lay.edge_var, axis=1)[inf]
+    return out
 
 
-def _fixed_rows(soft, prev_soft, v2c, prev_v2c) -> np.ndarray:
-    """Rows whose messages repeat the previous iteration's bit for bit.
+def _fixed_rows(x, prev) -> np.ndarray:
+    """Rows of `x` that repeat `prev` bit for bit.
 
     Bit patterns, not `==`: -0.0 and +0.0 compare equal but carry
-    different sign bits into the check kernel.  Only rows whose soft
-    values also repeat (an [F, n] compare) get the [F, E] message compare;
-    a row whose messages repeat has equal soft values one iteration later.
+    different sign bits into the check kernel.
     """
-    same = (soft.view(np.int64) == prev_soft.view(np.int64)).all(axis=1)
-    rows = np.flatnonzero(same)
-    if rows.size:
-        same[rows] = (v2c[rows].view(np.int64) == prev_v2c[rows].view(np.int64)).all(axis=1)
-    return same
+    return (x.view(np.int64) == prev.view(np.int64)).all(axis=1)
+
+
+def _compact(a, keep, step: int):
+    """Moves the rows `keep` (increasing) of `a` to its front, `step` rows
+    at a time, and returns that prefix.  keep[j] >= j, so no block
+    overwrites a row that a later block still reads; rows ahead of the
+    first that leaves are already in place."""
+    for r0 in range(np.count_nonzero(keep == np.arange(keep.size)), keep.size, step):
+        rows = keep[r0 : r0 + step]
+        a[r0 : r0 + rows.size] = a[rows]
+    return a[: keep.size]
 
 
 def decode_batch(
@@ -457,6 +464,15 @@ def decode_batch(
     failed set (not eventually correct) collects symbols wrong anywhere
     in the trailing `cfg.ec_window` iterations, a converged frame's the
     symbols wrong at exit.
+
+    Each iteration runs in row blocks of `_block_rows`: check pass,
+    clamp, variable pass, fixed-point compare, hard decisions and parity,
+    with each block's new messages written over its old ones.  A decode
+    of F frames on E edges and n variables so holds one [F, E] message
+    array, [F, n] state and outputs, and block-sized buffers; frames
+    leave the batch between iterations.  A run with a capture hook keeps
+    the whole batch as one block, so the hook sums over it in one order.
+    `llrs` and `init_v2c` are never written.
     """
     llrs = np.atleast_2d(np.asarray(llrs, dtype=float))
     F, n = llrs.shape
@@ -472,77 +488,91 @@ def decode_batch(
     failed_out = np.zeros((F, n), dtype=bool)
     soft_out = np.zeros((F, n))
 
+    # the decoder's own arrays, whose kept rows move to the front as frames leave
     idx = np.arange(F)
-    ch = llrs
-    v2c = ch[:, lay.edge_var].copy() if init_v2c is None else np.array(init_v2c, dtype=float)
+    ch = llrs.copy()
+    if init_v2c is None:
+        v2c = np.take(ch, lay.edge_var, axis=1)
+    else:
+        v2c = np.array(init_v2c, dtype=float, order="C")
+    soft = np.empty((F, n))
     last_wrong = np.zeros((F, n), dtype=np.int32)
     first_conv = np.zeros(F, dtype=np.int32)
+    # a capture hook sums over the whole batch, which stays whole until the end
+    step = max(F, 1) if capture is not None else _block_rows(lay)
     work = _Workspace(lay, min(F, _block_rows(lay)))
 
     sat = cfg.saturation
     lo = max(cfg.max_iters - cfg.ec_window + 1, 1)  # start of the trailing window
-    soft = None
     for it in range(1, cfg.max_iters + 1):
         if capture is not None:
             capture.pre_check(it - 1, v2c)
-        c2v = _check_pass(v2c, lay, cfg.mode, work)
-        if cfg.mode == "exact-tanh":
-            bad = ~np.isfinite(c2v)
-            bad[:, lay.lone_edge] = False  # the neutral +inf, not an overflow
-            if bad.any():
-                raise NonFiniteMessageError(
-                    f"non-finite check output at iteration {it}; "
-                    "inputs exceeded the tanh-product range"
-                )
-        if sat is not None:
-            np.clip(c2v, -sat, sat, out=c2v)
-        if capture is not None:
-            capture.post_check(it - 1, c2v)
+        # a row whose messages repeat has equal soft values one iteration
+        # later, so only those rows compare messages
+        compare = early and it > 1
+        done = np.zeros(idx.size, dtype=bool)
+        for r0 in range(0, idx.size, step):
+            blk = slice(r0, r0 + step)
+            c2v = _check_pass(v2c[blk], lay, cfg.mode, work)
+            if cfg.mode == "exact-tanh":
+                bad = ~np.isfinite(c2v)
+                bad[:, lay.lone_edge] = False  # the neutral +inf, not an overflow
+                if bad.any():
+                    raise NonFiniteMessageError(
+                        f"non-finite check output at iteration {it}; "
+                        "inputs exceeded the tanh-product range"
+                    )
+            if sat is not None:
+                np.clip(c2v, -sat, sat, out=c2v)
+            if capture is not None:
+                capture.post_check(it - 1, c2v)
 
-        prev_soft, prev_v2c = soft, v2c
-        soft = ch + _gather(c2v, lay.var_eid, 0.0, lay.var_padded).sum(axis=1)
-        if sat is None:
-            v2c = _unclamped_v2c(soft, c2v, ch, lay)
-        else:
-            v2c = np.take(soft, lay.edge_var, axis=1) - c2v
-        stuck = _fixed_rows(soft, prev_soft, v2c, prev_v2c) if early and it > 1 else None
-        del prev_soft, prev_v2c  # only the compare needs them
+            s = ch[blk] + _gather(c2v, lay.var_eid, 0.0, lay.var_padded).sum(axis=1)
+            msgs = v2c[blk]
+            stuck = np.zeros(s.shape[0], dtype=bool)
+            if compare:
+                cand = np.flatnonzero(_fixed_rows(s, soft[blk]))
+                old = msgs[cand]
+            soft[blk] = s
+            if sat is None:
+                _unclamped_v2c(s, c2v, ch[blk], lay, msgs)
+            else:
+                np.take(s, lay.edge_var, axis=1, out=msgs, mode="clip")
+                np.subtract(msgs, c2v, out=msgs)
+            if compare:
+                stuck[cand] = _fixed_rows(msgs[cand], old)
 
-        wrong = soft < 0
-        hard = wrong.astype(np.uint8)
-        np.maximum(last_wrong, np.multiply(wrong, it, dtype=np.int32), out=last_wrong)
+            wrong = s < 0
+            np.maximum(last_wrong[blk], np.multiply(wrong, it, dtype=np.int32), out=last_wrong[blk])
+            bits = _gather(wrong.view(np.uint8), lay.chk_var, 0, lay.chk_padded)
+            conv = ~np.bitwise_xor.reduce(bits, axis=1).any(axis=1)
+            first = first_conv[blk]
+            np.copyto(first, it, where=(first == 0) & conv)
 
-        parity = np.bitwise_xor.reduce(_gather(hard, lay.chk_var, 0, lay.chk_padded), axis=1)
-        conv_now = ~parity.any(axis=1)
-        np.copyto(first_conv, it, where=(first_conv == 0) & conv_now)
-
-        if it == cfg.max_iters:
-            done = np.ones(idx.size, dtype=bool)
-        elif early:
-            done = conv_now if stuck is None else conv_now | stuck
-        else:
-            continue
-        if done.any():
+            if it == cfg.max_iters:
+                leave = np.ones(conv.size, dtype=bool)
+            elif early:
+                leave = conv | stuck
+            else:
+                continue
             # a stuck frame repeats this iteration up to max_iters: its
             # outputs are the full run's, with every wrong symbol still
             # wrong at the last iteration
-            rows = np.flatnonzero(done)
-            conv = conv_now[rows]
-            gd = idx[rows]
-            hard_out[gd] = hard[rows]
-            soft_out[gd] = soft[rows]
-            conv_out[gd] = conv
-            iters_out[gd] = np.where(first_conv[rows] > 0, first_conv[rows], cfg.max_iters)
-            failed_out[gd] = wrong[rows] | (~conv[:, None] & (last_wrong[rows] >= lo))
+            rows = np.flatnonzero(leave)
+            gd = idx[r0 + rows]
+            hard_out[gd] = wrong[rows]
+            soft_out[gd] = s[rows]
+            conv_out[gd] = conv[rows]
+            iters_out[gd] = np.where(first[rows] > 0, first[rows], cfg.max_iters)
+            failed_out[gd] = wrong[rows] | (~conv[rows, None] & (last_wrong[r0 + rows] >= lo))
+            done[r0 + rows] = True
+
+        if done.any():
             keep = np.flatnonzero(~done)
             if keep.size == 0:
                 break
-            idx = idx[keep]
-            ch = ch[keep]
-            v2c = v2c[keep]
-            soft = soft[keep]
-            last_wrong = last_wrong[keep]
-            first_conv = first_conv[keep]
+            idx, ch, v2c, soft, last_wrong, first_conv = (
+                _compact(a, keep, step) for a in (idx, ch, v2c, soft, last_wrong, first_conv))
 
     return BatchResult(hard_out, conv_out, iters_out, failed_out, soft_out,
                        v2c if return_state else None)

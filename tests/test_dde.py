@@ -16,6 +16,7 @@ from errorfloor.dde import (
     DEFAULT_HALF_BINS,
     DEFAULT_STEP,
     Pmf,
+    _Band,
     _band,
     _band_width,
     _pair_bins,
@@ -263,6 +264,39 @@ def test_shifted_region_derived_from_the_table():
     # every gap seen once on a tiny grid is no evidence: no shifted region
     tiny = _band(0.5, 3)
     assert tiny.p0 == 4
+
+
+def whole_table_band(delta, half):
+    """`_band` built in one pass over the whole [half, 2, w + 1] table,
+    the oracle for its blocked scan."""
+    w = min(_band_width(delta), half - 1)
+    gaps = np.arange(w + 1)
+    m = np.arange(1, half + 1)[:, None]
+    q = m + gaps
+    a, b = m.astype(float) * delta, q.astype(float) * delta
+    idx = np.stack([_pair_bins(a, b, delta), _pair_bins(a, -b, delta)], axis=1)
+    on_grid = (q <= half)[:, None, :]
+    shift = idx * np.array([1, -1])[:, None] - m[:, :, None]
+    top = shift[half - 1 - gaps, :, gaps]
+    varies = (shift != top.T) & on_grid
+    p0 = int(np.flatnonzero(varies.any(axis=(1, 2))).max(initial=-1)) + 2
+    if p0 + w >= half:
+        p0 = half + 1
+    low = np.where(on_grid, idx, 0)[: p0 - 1] + half
+    starts = np.flatnonzero(np.r_[True, (top[1:] != top[:-1]).any(axis=1)])
+    return _Band(w, p0, low.ravel(), low[:, :, 1:].ravel(), starts,
+                 np.ascontiguousarray(top[starts].T))
+
+
+@pytest.mark.parametrize("delta, half", GRIDS)
+@pytest.mark.parametrize("block", [256, 7])
+def test_band_matches_whole_table_build(delta, half, block, monkeypatch):
+    monkeypatch.setattr(errorfloor.dde, "_BAND_CACHE", {})
+    monkeypatch.setattr(errorfloor.dde, "_BAND_BLOCK", block)
+    got, want = _band(delta, half), whole_table_band(delta, half)
+    for name, g, v in zip(_Band._fields, got, want):
+        assert np.asarray(g).dtype == np.asarray(v).dtype, name
+        assert np.array_equal(g, v), name
 
 
 def folded_convolve(x, y, half):
