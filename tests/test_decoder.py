@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -442,8 +443,6 @@ def test_decode_memory_per_frame():
     # one [F, E] message array, [F, n] state and outputs, and block-sized
     # buffers: about 14.7 KiB a frame here, against 29 KiB when every step
     # of an iteration held whole-batch temporaries
-    import tracemalloc
-
     H = random_regular_code(256, 3, 6, seed=5)
     F = 8192
     llrs = sample_llrs(ChannelConfig(2.4, 0.5), frame_rng(3, 0), (F, H.n_vars))
