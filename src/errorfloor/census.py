@@ -34,7 +34,9 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .graphs import Multigraph, multigraph_to_digraph
+import numpy as np
+
+from .graphs import Multigraph, state_update_stack
 from .spectral import frobenius_bounds, spectral_summary
 
 
@@ -256,27 +258,6 @@ def generate_classes(d_v: int, a: int, b: int) -> list[Multigraph]:
 
 
 @dataclass(frozen=True)
-class ClassSpectrum:
-    """Spectral detail for one equivalence class."""
-
-    graph: Multigraph
-    r: float
-    h: int
-    irreducible: bool
-    primitive: bool
-    frob_low: float
-    frob_high: float
-
-
-def spectrum_of(G: Multigraph) -> ClassSpectrum:
-    D = multigraph_to_digraph(G)
-    A = D.arcs.T.astype(float)
-    s = spectral_summary(A)
-    lo, hi = frobenius_bounds(A)
-    return ClassSpectrum(G, s.r, s.h, s.irreducible, s.primitive, lo, hi)
-
-
-@dataclass(frozen=True)
 class ClassRow:
     """One table row: all classes sharing (a, b) at a given d_v."""
 
@@ -296,7 +277,11 @@ class ClassRow:
 
 
 def class_spectra(classes, d_v: int) -> ClassRow:
-    """Aggregate row over one (a, b) family of classes."""
+    """Aggregate row over one (a, b) family of classes.
+
+    The family's state-update matrices share their order 2*size, so one
+    stacked spectral summary serves them all; every radius must lie
+    within the row-sum (Frobenius) bounds of its matrix."""
     if not classes:
         raise ValueError("no classes to aggregate")
     a = classes[0].n
@@ -304,16 +289,15 @@ def class_spectra(classes, d_v: int) -> ClassRow:
     if any(G.n != a or G.size != size for G in classes):
         raise ValueError("classes mix different (a, b)")
     b = a * d_v - 2 * size
-    spectra = [spectrum_of(G) for G in classes]
-    return ClassRow(
-        d_v,
-        a,
-        b,
-        len(classes),
-        max(s.h for s in spectra),
-        min(s.r for s in spectra),
-        max(s.r for s in spectra),
-    )
+    A = state_update_stack(classes)
+    spectra = spectral_summary(A)
+    r = np.array([s.r for s in spectra])
+    lo, hi = frobenius_bounds(A)
+    if np.any(r < lo * (1 - 1e-9)) or np.any(r > hi * (1 + 1e-9)):
+        raise RuntimeError(f"({a},{b}) at d_v={d_v}: a spectral radius lies outside "
+                           "its row-sum bounds")
+    return ClassRow(d_v, a, b, len(classes), max(s.h for s in spectra),
+                    float(r.min()), float(r.max()))
 
 
 def emit_table(d_v: int, a_max: int, r_cutoff: float | None = None) -> list[ClassRow]:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,8 +85,9 @@ def sample_llrs(cfg: ChannelConfig, rng: np.random.Generator, shape) -> np.ndarr
 def ordered_map(fn, tasks, workers: int = 1):
     """Yield fn(task) for each task of a sequence, in task order.
 
-    With one worker or at most one task, fn runs in this process.
-    Otherwise a process pool keeps at most 4 * workers tasks in flight;
+    With one worker or at most one task, fn runs in this process, and the
+    process-pool machinery is not even imported.  Otherwise a process
+    pool keeps at most 4 * workers tasks in flight;
     the tasks still pending are cancelled when the caller stops
     iterating (closes the generator).  With `frame_rng` streams keyed by
     the task, results do not depend on the worker count.
@@ -97,6 +97,8 @@ def ordered_map(fn, tasks, workers: int = 1):
     if workers == 1 or len(tasks) <= 1:
         yield from map(fn, tasks)
         return
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         window = 4 * workers
         pending = deque(pool.submit(fn, t) for t in tasks[:window])

@@ -203,7 +203,11 @@ def _table(rows, digits: int = 6) -> str:
 
 
 def _plain(v):
-    """`json.dumps` hook: numpy arrays and scalars as plain data."""
+    """`json.dumps` hook: a dataclass as the dict of its fields, which the
+    encoder then walks (no copies are made), numpy arrays and scalars as
+    plain data."""
+    if dataclasses.is_dataclass(v):
+        return {f.name: getattr(v, f.name) for f in dataclasses.fields(v)}
     if isinstance(v, (np.ndarray, np.generic)):
         return v.tolist()
     raise TypeError(f"{type(v).__name__} is not JSON serializable")
@@ -255,7 +259,7 @@ def cmd_simulate(cfg: dict) -> dict:
              "fer", "fer_lo", "fer_hi", "ber", "ber_lo", "ber_hi"),
             (chan.ebn0_db, chan.rate, cfg["sat"], res.frames, res.frame_errors, res.bit_errors,
              res.fer, *res.fer_ci, res.ber, *res.ber_ci)]
-    return {"csv": _table(rows), "json": dataclasses.asdict(res)}
+    return {"csv": _table(rows), "json": _plain(res)}
 
 
 def cmd_predict(cfg: dict) -> dict:
@@ -348,7 +352,7 @@ def cmd_richardson(cfg: dict) -> dict:
         refine_rounds=cfg["refine"],
     )
     est = semi_analytic_floor(H, chan, dec, sa, workers=cfg["workers"])
-    return {"json": dataclasses.asdict(est)}
+    return {"json": _plain(est)}
 
 
 def cmd_stats(cfg: dict) -> dict:

@@ -500,7 +500,8 @@ def decode_batch(
     first_conv = np.zeros(F, dtype=np.int32)
     # a capture hook sums over the whole batch, which stays whole until the end
     step = max(F, 1) if capture is not None else _block_rows(lay)
-    work = _Workspace(lay, min(F, _block_rows(lay)))
+    # the exact-tanh pass allocates its own temporaries
+    work = None if cfg.mode == "exact-tanh" else _Workspace(lay, min(F, _block_rows(lay)))
 
     sat = cfg.saturation
     lo = max(cfg.max_iters - cfg.ec_window + 1, 1)  # start of the trailing window

@@ -79,7 +79,7 @@ def subgraph_to_multigraph(sub: InducedSubgraph) -> Multigraph:
 class StateDigraph:
     """Directed-edge states of a multigraph and their adjacency.
 
-    `states[k] = (tail, head, edge_id)`; `arcs[i, j]` is 1 when state j
+    `states[k] = (tail, head, edge_id)`; `arcs[i, j]` is True when state j
     continues state i (head of i = tail of j) without backtracking, and
     `reverse[k]` is the opposite direction of the same edge.
     """
@@ -93,6 +93,28 @@ class StateDigraph:
         return len(self.states)
 
 
+def _state_arcs(edges: np.ndarray):
+    """States and arcs of the state digraphs of K multigraphs of s edges
+    each, given as edges [K, s, 2] with u < v in every pair.
+
+    Returns tail, head, edge id and reverse state, each [K, 2s], and the
+    boolean arcs [K, 2s, 2s].  Each graph's states are both directions of
+    its edges, ordered by (tail, head, edge).
+    """
+    K, size, _ = edges.shape
+    tail = np.concatenate([edges[:, :, 0], edges[:, :, 1]], axis=1)
+    head = np.concatenate([edges[:, :, 1], edges[:, :, 0]], axis=1)
+    eid = np.broadcast_to(np.tile(np.arange(size), 2), tail.shape)
+    order = np.lexsort((eid, head, tail))  # per graph, along the last axis
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(2 * size), axis=1)
+    rev = np.take_along_axis(rank, (order + size) % (2 * size), axis=1)
+    tail, head, eid = (np.take_along_axis(x, order, axis=1) for x in (tail, head, eid))
+    arcs = head[:, :, None] == tail[:, None, :]
+    arcs[np.arange(K)[:, None], np.arange(2 * size), rev] = False
+    return tail, head, eid, rev, arcs
+
+
 def multigraph_to_digraph(G: Multigraph) -> StateDigraph:
     """Build the state digraph D of G.
 
@@ -102,21 +124,12 @@ def multigraph_to_digraph(G: Multigraph) -> StateDigraph:
     """
     if not G.connected():
         raise ValueError("multigraph is not connected")
-    by_tail = {t: [] for t in range(G.n)}
-    for eid, (u, v) in enumerate(G.edges):
-        by_tail[u].append((v, eid))
-        by_tail[v].append((u, eid))
-    states = []
-    for t in range(G.n):
-        for head, eid in sorted(by_tail[t]):
-            states.append((t, head, eid))
-    index = {s: k for k, s in enumerate(states)}
-    m = len(states)
-    rev = np.array([index[(h, t, e)] for (t, h, e) in states], dtype=np.int64)
-    arcs = np.zeros((m, m), dtype=np.int64)
-    for i, (_, h, _) in enumerate(states):
-        for head2, eid2 in by_tail[h]:
-            j = index[(h, head2, eid2)]
-            if j != rev[i]:
-                arcs[i, j] = 1
-    return StateDigraph(states, arcs, rev)
+    tail, head, eid, rev, arcs = _state_arcs(np.array(G.edges, dtype=np.int64).reshape(1, -1, 2))
+    states = list(zip(tail[0].tolist(), head[0].tolist(), eid[0].tolist()))
+    return StateDigraph(states, arcs[0], rev[0])
+
+
+def state_update_stack(graphs) -> np.ndarray:
+    """Boolean state-update matrices [K, m, m] of K multigraphs of one
+    size: the transposed arcs of their state digraphs, built together."""
+    return _state_arcs(np.array([G.edges for G in graphs], dtype=np.int64))[4].transpose(0, 2, 1)

@@ -83,7 +83,8 @@ def build_model(sub: InducedSubgraph, d_v: int) -> StateSpaceModel:
                 B_ex[k, j] = 1.0
 
     return StateSpaceModel(
-        A, B, B_ex, C, D_ex, D.states, d_v, G, bool(np.any(deg <= 1)), spectral_summary(A)
+        A, B, B_ex, C, D_ex, D.states, d_v, G, bool(np.any(deg <= 1)),
+        spectral_summary(A[None])[0],
     )
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from conftest import ACCEPTANCE_LINES
 
-from errorfloor.census import generate_classes, emit_table, spectrum_of
+from errorfloor.census import generate_classes, emit_table
 from errorfloor.channel import (
     ChannelConfig,
     frame_rng,
@@ -29,7 +29,7 @@ from errorfloor.dde import (
     pointwise_crossing,
 )
 from errorfloor.floorpred import PredictionJob, predict_curve, stats_from_dde
-from errorfloor.graphs import Multigraph, multigraph_to_digraph
+from errorfloor.graphs import Multigraph, multigraph_to_digraph, state_update_stack
 from errorfloor.simharness import (
     McConfig,
     SemiAnalyticConfig,
@@ -37,7 +37,7 @@ from errorfloor.simharness import (
     semi_analytic_floor,
     wilson_interval,
 )
-from errorfloor.spectral import spectral_summary
+from errorfloor.spectral import frobenius_bounds, spectral_summary
 from errorfloor.statespace import build_model, codeword_failure_probability
 from errorfloor.tanner import induce, random_regular_code
 
@@ -118,6 +118,10 @@ def test_criterion_02_overflow_behaviour():
     assert check_update_exact([39.0, 0.5]) == pytest.approx(0.5, abs=1e-12)
 
 
+def spectrum_of(G):
+    return spectral_summary(multigraph_to_digraph(G).arcs.T[None].astype(float))[0]
+
+
 @criterion(3, "spectral radius goldens for the small canonical graphs")
 def test_criterion_03_spectral_goldens():
     t0 = time.perf_counter()
@@ -131,8 +135,7 @@ def test_criterion_03_spectral_goldens():
     sqrt2 = [s for s in five_three if abs(s.r - math.sqrt(2)) < 1e-6]
     assert len(sqrt2) == 1 and sqrt2[0].h == 4
 
-    cycle = multigraph_to_digraph(Multigraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
-    summ = spectral_summary(cycle.arcs.T.astype(float))
+    summ = spectrum_of(Multigraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
     assert summ.r == 1.0
     assert summ.reducible_cycle_case
 
@@ -417,9 +420,12 @@ def test_criterion_12_spectral_bounds_sweep():
         dmin = d_v // 2 + 1
         for a in range(2, 9):
             for b in range((a * d_v) % 2, a * (d_v - dmin) + 1, 2):
-                for G in generate_classes(d_v, a, b):
-                    s = spectrum_of(G)
-                    assert s.frob_low - 1e-9 <= s.r <= s.frob_high + 1e-9
+                classes = generate_classes(d_v, a, b)
+                if not classes:
+                    continue
+                A = state_update_stack(classes)
+                for s, lo, hi in zip(spectral_summary(A), *frobenius_bounds(A)):
+                    assert lo - 1e-9 <= s.r <= hi + 1e-9
                     assert d_v - 1 - b / a <= s.r + 1e-9
                     if b == 0:
                         assert s.r == pytest.approx(d_v - 1, abs=1e-9)
@@ -446,5 +452,5 @@ def test_criterion_13_leaf_invariance():
             attach = int(rng.integers(n + j))
             edges.append((attach, n + j))
         aug = Multigraph(n + n_leaves, edges)
-        r_aug = spectral_summary(multigraph_to_digraph(aug).arcs.T.astype(float)).r
+        r_aug = spectrum_of(aug).r
         assert abs(r_aug - r_base) < 1e-9

@@ -13,7 +13,6 @@ from errorfloor.census import (
     class_spectra,
     emit_table,
     generate_classes,
-    spectrum_of,
     table_to_csv,
 )
 from errorfloor.graphs import Multigraph
@@ -108,15 +107,28 @@ def test_no_minority_degree_vertices():
             assert G.degrees().min() >= 3
 
 
-def test_spectrum_of_known_classes():
-    (k4,) = generate_classes(3, 4, 0)
-    s = spectrum_of(k4)
-    assert s.r == pytest.approx(2.0, abs=1e-9)
-    (g42,) = generate_classes(3, 4, 2)
-    s42 = spectrum_of(g42)
-    assert s42.r == pytest.approx(1.5214, abs=5e-4)
-    assert s42.h == 1
-    assert s42.frob_low <= s42.r <= s42.frob_high
+def test_class_spectra_known_classes():
+    k4 = class_spectra(generate_classes(3, 4, 0), 3)
+    assert k4.count == 1
+    assert k4.r_min == k4.r_max == pytest.approx(2.0, abs=1e-9)
+    g42 = class_spectra(generate_classes(3, 4, 2), 3)
+    assert g42.count == 1
+    assert g42.r_max == pytest.approx(1.5214, abs=5e-4)
+    assert g42.h_max == 1
+
+
+def test_class_spectra_checks_radii_against_row_sum_bounds(monkeypatch):
+    classes = generate_classes(3, 5, 3)
+    true = census.spectral_summary
+
+    def inflated(A):
+        out = true(A)
+        out[-1].r = 3.5  # above every row sum of a (5, 3) class
+        return out
+
+    monkeypatch.setattr(census, "spectral_summary", inflated)
+    with pytest.raises(RuntimeError, match="row-sum bounds"):
+        class_spectra(classes, 3)
 
 
 def test_class_spectra_aggregates():

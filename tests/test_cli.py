@@ -475,26 +475,31 @@ def test_version_subprocess():
     assert out.stdout.strip() == f"errorfloor {errorfloor.__version__}"
 
 
-_SCIPY_PROBE = """
+# runs every command with one worker and lists the modules named
+# sys.argv[1] (or below it) that are loaded after the import and each run
+_IMPORT_PROBE = """
 import json, sys
 from errorfloor.cli import main
 from errorfloor.floorpred import load_job
 
 def loaded():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    top = sys.argv[1]
+    return sorted(m for m in sys.modules if m == top or m.startswith(top + "."))
 
 seen = {"import": loaded()}
 runs = {
     "simulate": ["simulate", "--alist", "code.alist", "--ebn0", "2.0", "--frames", "64",
-                 "--batch-size", "64", "--max-iters", "5", "--out", "sim"],
+                 "--batch-size", "64", "--max-iters", "5", "--workers", "1", "--out", "sim"],
     "richardson exact-match": ["richardson", "--alist", "planted.alist", "--set", "sets.txt",
                                "--ebn0", "2.4", "--s-points", "2", "--frames-per-point", "16",
-                               "--refine", "0", "--max-iters", "5", "--out", "r1"],
+                               "--refine", "0", "--max-iters", "5", "--workers", "1",
+                               "--out", "r1"],
     "richardson saturation-phase": ["richardson", "--alist", "planted.alist", "--set",
                                     "sets.txt", "--ebn0", "2.4", "--mode", "saturation-phase",
                                     "--s-points", "2", "--frames-per-point", "16", "--refine",
-                                    "0", "--max-iters", "5", "--sat-iters", "3", "--out", "r2"],
-    "predict": ["predict", "--job", "job.cfg", "--out", "p"],
+                                    "0", "--max-iters", "5", "--sat-iters", "3", "--workers",
+                                    "1", "--out", "r2"],
+    "predict": ["predict", "--job", "job.cfg", "--workers", "1", "--out", "p"],
     "dde": ["dde", "--ebn0", "2.8", "--iters", "2", "--out", "d"],
     "stats dde": ["stats", "--ebn0", "2.8", "--iters", "2", "--out", "s1"],
     "stats spa": ["stats", "--source", "spa", "--alist", "code.alist", "--ebn0", "2.8",
@@ -507,9 +512,7 @@ print(json.dumps(seen))
 """
 
 
-def test_no_cli_path_imports_scipy(tmp_path, alist, planted_alist):
-    # importing scipy costs more than half a second of every CLI run, so
-    # only the tests may use it
+def _probe_imports(tmp_path, planted_alist, module):
     (tmp_path / "sets.txt").write_text("0 1 2 3\n")
     (tmp_path / "job.cfg").write_text(
         f"code = {planted_alist}\nsets = sets.txt\nsnr = 2.8\nhorizon = 2\n"
@@ -517,7 +520,7 @@ def test_no_cli_path_imports_scipy(tmp_path, alist, planted_alist):
     pkg_root = str(Path(errorfloor.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [pkg_root, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE], capture_output=True, text=True,
+        [sys.executable, "-c", _IMPORT_PROBE, module], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": path}, cwd=tmp_path, timeout=300,
     )
     assert out.returncode == 0, out.stderr
@@ -525,6 +528,18 @@ def test_no_cli_path_imports_scipy(tmp_path, alist, planted_alist):
     assert seen.pop("import") == []
     assert seen == {name: ["exit 0"] for name in seen}
     assert len(seen) == 8
+
+
+def test_no_cli_path_imports_scipy(tmp_path, alist, planted_alist):
+    # importing scipy costs more than half a second of every CLI run, so
+    # only the tests may use it
+    _probe_imports(tmp_path, planted_alist, "scipy")
+
+
+def test_no_one_worker_command_imports_multiprocessing(tmp_path, alist, planted_alist):
+    # the process pool costs some 15 ms of every CLI start, and a run with
+    # one worker never starts it
+    _probe_imports(tmp_path, planted_alist, "multiprocessing")
 
 
 @pytest.mark.parametrize("argv", [

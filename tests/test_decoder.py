@@ -209,6 +209,22 @@ def test_exact_tanh_passes_degree_one_checks(sat):
     assert np.array_equal(got.hard, want.hard)
 
 
+def test_exact_tanh_allocates_no_signmag_workspace(code, monkeypatch):
+    # the tanh pass never reads the sign/magnitude buffers (4.5 MiB on an
+    # n = 256 (3,6) code), so an exact-tanh decode must not build them
+    llrs = sample_llrs(ChannelConfig(2.4, 0.5), frame_rng(1, 0), (4, code.n_vars))
+    want = decode_batch(code, llrs, DecoderConfig(mode="exact-tanh", max_iters=5))
+
+    def refuse(*args):
+        raise AssertionError("_Workspace built for exact-tanh")
+
+    monkeypatch.setattr(decoder_mod, "_Workspace", refuse)
+    got = decode_batch(code, llrs, DecoderConfig(mode="exact-tanh", max_iters=5))
+    assert np.array_equal(got.hard, want.hard) and np.array_equal(got.soft, want.soft)
+    with pytest.raises(AssertionError, match="_Workspace"):
+        decode_batch(code, llrs, DecoderConfig(max_iters=5))
+
+
 def test_llr_width_checked(code):
     with pytest.raises(ValueError):
         decode_batch(code, np.zeros((2, code.n_vars + 1)), DecoderConfig())

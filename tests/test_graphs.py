@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from errorfloor.graphs import Multigraph, multigraph_to_digraph, subgraph_to_multigraph
+from errorfloor.graphs import (
+    Multigraph,
+    multigraph_to_digraph,
+    state_update_stack,
+    subgraph_to_multigraph,
+)
 from errorfloor.tanner import ParityCheckMatrix, induce, random_regular_code
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -84,3 +89,86 @@ def test_digraph_parallel_edges():
 def test_digraph_requires_connected():
     with pytest.raises(ValueError, match="connected"):
         multigraph_to_digraph(Multigraph(4, [(0, 1), (2, 3)]))
+
+
+# --- the former loop-built digraph, kept as the oracle of the array-built
+# one ---
+
+def _oracle_digraph(G):
+    by_tail = {t: [] for t in range(G.n)}
+    for eid, (u, v) in enumerate(G.edges):
+        by_tail[u].append((v, eid))
+        by_tail[v].append((u, eid))
+    states = []
+    for t in range(G.n):
+        for head, eid in sorted(by_tail[t]):
+            states.append((t, head, eid))
+    index = {s: k for k, s in enumerate(states)}
+    m = len(states)
+    rev = np.array([index[(h, t, e)] for (t, h, e) in states], dtype=np.int64)
+    arcs = np.zeros((m, m), dtype=np.int64)
+    for i, (_, h, _) in enumerate(states):
+        for head2, eid2 in by_tail[h]:
+            j = index[(h, head2, eid2)]
+            if j != rev[i]:
+                arcs[i, j] = 1
+    return states, arcs, rev
+
+
+def assert_matches_oracle(G):
+    D = multigraph_to_digraph(G)
+    states, arcs, rev = _oracle_digraph(G)
+    assert D.states == states
+    assert all(type(x) is int for s in D.states for x in s)
+    assert D.arcs.dtype == bool and np.array_equal(D.arcs, arcs)
+    assert D.reverse.dtype == rev.dtype and np.array_equal(D.reverse, rev)
+
+
+def test_digraph_matches_loop_oracle_on_census_classes():
+    from errorfloor import census
+
+    checked = 0
+    for d_v in (3, 4, 5):
+        census._augmented_census(8, d_v)
+        for a in range(2, 9):
+            for b in range((a * d_v) % 2, a * (d_v - d_v // 2 - 1) + 1, 2):
+                classes = census.generate_classes(d_v, a, b)
+                for G in classes:
+                    assert_matches_oracle(G)
+                    checked += 1
+                if classes:  # the family's stack, built at once, holds the same arcs
+                    A = state_update_stack(classes)
+                    assert A.dtype == bool
+                    for G, M in zip(classes, A):
+                        assert np.array_equal(M, _oracle_digraph(G)[1].T)
+    assert checked == 1264
+
+
+def test_digraph_matches_loop_oracle_on_multigraphs_with_parallel_edges():
+    rng = np.random.default_rng(3)
+    checked = 0
+    same_size = {}
+    for _ in range(300):
+        n = int(rng.integers(2, 7))
+        # a spanning path keeps it connected; extra edges repeat freely
+        edges = [(v, v + 1) for v in range(n - 1)]
+        for _ in range(int(rng.integers(0, 2 * n))):
+            u, v = rng.choice(n, 2, replace=False)
+            edges.append((int(u), int(v)))
+        edges.extend(edges[: int(rng.integers(0, 3))])  # parallel copies
+        G = Multigraph(n, edges)
+        assert_matches_oracle(G)
+        checked += len(set(G.edges)) < G.size
+        same_size.setdefault((G.n, G.size), []).append(G)
+    assert checked > 100
+    for graphs in same_size.values():
+        for G, M in zip(graphs, state_update_stack(graphs)):
+            assert np.array_equal(M, _oracle_digraph(G)[1].T)
+    # the statespace input: a collapsed subgraph whose 4-cycles are
+    # parallel edges, and the one-vertex graph with no state
+    plant = [(0, 1), (0, 1), (1, 2), (0, 2), (2, 3)]
+    H = random_regular_code(96, 3, 6, seed=4, planted=plant)
+    G = subgraph_to_multigraph(induce(H, range(4)))
+    assert len(set(G.edges)) < G.size
+    assert_matches_oracle(G)
+    assert_matches_oracle(Multigraph(1, []))
