@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Multigraph, state_update_stack
+from .graphs import Multigraph, state_digraphs
 from .spectral import frobenius_bounds, spectral_summary
 
 
@@ -289,7 +289,7 @@ def class_spectra(classes, d_v: int) -> ClassRow:
     if any(G.n != a or G.size != size for G in classes):
         raise ValueError("classes mix different (a, b)")
     b = a * d_v - 2 * size
-    A = state_update_stack(classes)
+    *_, A = state_digraphs(classes)
     spectra = spectral_summary(A)
     r = np.array([s.r for s in spectra])
     lo, hi = frobenius_bounds(A)

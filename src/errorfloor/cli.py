@@ -28,10 +28,9 @@ from .census import emit_table, table_to_csv
 from .channel import ChannelConfig
 from .decoder import DecoderConfig
 from .floorpred import (
-    SetPrediction,
-    _floats,
-    _i,
-    _sat,
+    parse_floats,
+    parse_int,
+    parse_sat,
     load_job,
     predict_curve,
     read_key_values,
@@ -48,40 +47,40 @@ _SPECS = {
         "alist": (str, None, "parity-check matrix (alist format)"),
         "ebn0": (float, None, "Eb/N0 in dB"),
         "rate": (float, None, "code rate; default (n - rank(H))/n from the alist"),
-        "sat": (_sat, 25.0, "LLR clamp at check output; 'none' disables"),
+        "sat": (parse_sat, 25.0, "LLR clamp at check output; 'none' disables"),
         "mode": (str, "pairwise", "check update: pairwise|exact-tanh|approx|min-sum"),
-        "max_iters": (_i, 50, "decoding iterations"),
-        "ec_window": (_i, 12, "trailing window for eventually-correct accounting"),
-        "frames": (_i, 100_000, "frame budget"),
-        "target_errors": (_i, None, "stop after this many frame errors"),
-        "seed": (_i, 0, "run seed"),
-        "batch_size": (_i, 256, "frames per batch; batch b draws its noise from "
+        "max_iters": (parse_int, 50, "decoding iterations"),
+        "ec_window": (parse_int, 12, "trailing window for eventually-correct accounting"),
+        "frames": (parse_int, 100_000, "frame budget"),
+        "target_errors": (parse_int, None, "stop after this many frame errors"),
+        "seed": (parse_int, 0, "run seed"),
+        "batch_size": (parse_int, 256, "frames per batch; batch b draws its noise from "
                        "frame_rng(seed, b), so results depend on seed and batch size"),
-        "workers": (_i, 1, "parallel workers"),
+        "workers": (parse_int, 1, "parallel workers"),
         "out": (str, "simulate", "output prefix"),
     },
     "predict": {
         "job": (str, None, "prediction job file"),
         "stats_source": (str, None, "override: dde|spa"),
-        "sat": (_sat, "keep", "override saturation"),
-        "horizon": (_i, None, "override model horizon"),
-        "inversion_iters": (_i, None, "override inversion iterations"),
-        "snr": (_floats, None, "override SNR grid, comma separated dB"),
-        "workers": (_i, 1, "parallel workers"),
+        "sat": (parse_sat, "keep", "override saturation"),
+        "horizon": (parse_int, None, "override model horizon"),
+        "inversion_iters": (parse_int, None, "override inversion iterations"),
+        "snr": (parse_floats, None, "override SNR grid, comma separated dB"),
+        "workers": (parse_int, 1, "parallel workers"),
         "out": (str, "predict", "output prefix"),
     },
     "dde": {
-        "dv": (_i, 3, "variable degree"),
-        "dc": (_i, 6, "check degree"),
+        "dv": (parse_int, 3, "variable degree"),
+        "dc": (parse_int, 6, "check degree"),
         "ebn0": (float, None, "Eb/N0 in dB"),
         "rate": (float, None, "code rate; default 1 - dv/dc"),
-        "sat": (_sat, 25.0, "LLR clamp; 'none' disables"),
-        "iters": (_i, 10, "iterations to evolve"),
+        "sat": (parse_sat, 25.0, "LLR clamp; 'none' disables"),
+        "iters": (parse_int, 10, "iterations to evolve"),
         "out": (str, "dde", "output prefix"),
     },
     "enumerate": {
-        "dv": (_i, 3, "variable degree"),
-        "amax": (_i, 8, "largest set size"),
+        "dv": (parse_int, 3, "variable degree"),
+        "amax": (parse_int, 8, "largest set size"),
         "r_cutoff": (float, None, "keep only rows with r_max above this; omit for no cutoff"),
         "out": (str, "census", "output prefix"),
     },
@@ -91,32 +90,32 @@ _SPECS = {
         "ebn0": (float, None, "Eb/N0 in dB"),
         "rate": (float, None, "code rate; default (n - rank(H))/n from the alist"),
         "mode": (str, "exact-match", "exact-match|saturation-phase"),
-        "sat": (_sat, 25.0, "decoder clamp (exact-match) / phase-2 clamp"),
-        "sat_iters": (_i, 20, "saturated iterations (saturation-phase)"),
-        "max_iters": (_i, 50, "decoding iterations"),
+        "sat": (parse_sat, 25.0, "decoder clamp (exact-match) / phase-2 clamp"),
+        "sat_iters": (parse_int, 20, "saturated iterations (saturation-phase)"),
+        "max_iters": (parse_int, 50, "decoding iterations"),
         "s_lo": (float, -2.2, "most negative mean-noise grid point"),
         "s_hi": (float, -0.8, "least negative mean-noise grid point"),
-        "s_points": (_i, 8, "grid size"),
-        "frames_per_point": (_i, 20_000, "frame cap per grid point"),
-        "target_failures": (_i, 50, "early stop per grid point"),
-        "refine": (_i, 2, "grid refinement rounds"),
-        "ec_window": (_i, 12, "trailing window"),
-        "seed": (_i, 0, "run seed"),
-        "workers": (_i, 1, "parallel workers"),
+        "s_points": (parse_int, 8, "grid size"),
+        "frames_per_point": (parse_int, 20_000, "frame cap per grid point"),
+        "target_failures": (parse_int, 50, "early stop per grid point"),
+        "refine": (parse_int, 2, "grid refinement rounds"),
+        "ec_window": (parse_int, 12, "trailing window"),
+        "seed": (parse_int, 0, "run seed"),
+        "workers": (parse_int, 1, "parallel workers"),
         "out": (str, "richardson", "output prefix"),
     },
     "stats": {
         "source": (str, "dde", "dde|spa"),
         "alist": (str, None, "code for spa capture (or rate inference)"),
-        "dv": (_i, 3, "variable degree (dde source)"),
-        "dc": (_i, 6, "check degree (dde source)"),
+        "dv": (parse_int, 3, "variable degree (dde source)"),
+        "dc": (parse_int, 6, "check degree (dde source)"),
         "ebn0": (float, None, "Eb/N0 in dB"),
         "rate": (float, None, "code rate; default (n - rank(H))/n from the alist, else 1 - dv/dc"),
-        "sat": (_sat, 25.0, "LLR clamp; 'none' disables"),
-        "iters": (_i, 20, "iterations to collect"),
-        "frames": (_i, 100, "capture frames (spa source)"),
+        "sat": (parse_sat, 25.0, "LLR clamp; 'none' disables"),
+        "iters": (parse_int, 20, "iterations to collect"),
+        "frames": (parse_int, 100, "capture frames (spa source)"),
         "mode": (str, "pairwise", "check update (spa source)"),
-        "seed": (_i, 0, "capture seed"),
+        "seed": (parse_int, 0, "capture seed"),
         "out": (str, "stats", "output prefix"),
     },
 }
@@ -155,10 +154,7 @@ def _merge(cmd: str, args: argparse.Namespace) -> dict:
     spec = _SPECS[cmd]
     cfg = {dest: default for dest, (_, default, _) in spec.items()}
     if args.config:
-        try:
-            kv = read_key_values(args.config)
-        except OSError as e:
-            raise ValueError(f"cannot read config file: {e}") from None
+        kv = _read(read_key_values, args.config, "config file")
         seen = set()
         for k, v in kv.items():
             k = k.replace("-", "_")
@@ -178,13 +174,19 @@ def _merge(cmd: str, args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _load_code(path: str):
+def _read(loader, path: str, what: str):
+    """`loader(path)`, with a file that cannot be read or parsed as a
+    rejected value (exit 2)."""
     try:
-        return load_alist(path)
+        return loader(path)
     except OSError as e:
-        raise ValueError(f"cannot read alist: {e}") from None
+        raise ValueError(f"cannot read {what}: {e}") from None
     except ValueError as e:
-        raise ValueError(f"bad alist {path}: {e}") from None
+        raise ValueError(f"bad {what} {path}: {e}") from None
+
+
+def _load_code(path: str):
+    return _read(load_alist, path, "alist")
 
 
 def _rate_of(cfg_rate, H) -> float:
@@ -263,12 +265,7 @@ def cmd_simulate(cfg: dict) -> dict:
 
 
 def cmd_predict(cfg: dict) -> dict:
-    try:
-        job = load_job(cfg["job"])
-    except OSError as e:
-        raise ValueError(f"cannot read job file: {e}") from None
-    except ValueError as e:
-        raise ValueError(f"bad job file: {e}") from None
+    job = _read(load_job, cfg["job"], "job file")
     edits = {"source": cfg["stats_source"], "horizon": cfg["horizon"],
              "inversion_iters": cfg["inversion_iters"], "snr_grid": cfg["snr"]}
     edits = {k: v for k, v in edits.items() if v is not None}
@@ -277,13 +274,12 @@ def cmd_predict(cfg: dict) -> dict:
     job = dataclasses.replace(job, **edits)
     report = predict_curve(job, workers=cfg["workers"])
     cfg["code_id"] = job.code_id  # recorded in the manifest's config
-    names = ["set" if f.name == "set_index" else f.name for f in dataclasses.fields(SetPrediction)]
-    rows = [("# floor-prediction v1",), ("ebn0_db", *names, "fer_contribution")]
-    rows += [(s, *dataclasses.astuple(p), p.fer_contribution)
-             for s, preds in zip(report.snr_grid, report.breakdown) for p in preds]
-    rows += [(), ("ebn0_db", "fer_bound", "ber_bound"),
-             *zip(report.snr_grid, report.fer, report.ber)]
-    return {"csv": _table(rows), "json": report.to_dict()}
+    doc = report.to_dict()
+    curve, breakdown = doc["curve"], doc["breakdown"]
+    rows = [("# floor-prediction v1",), ("ebn0_db", *breakdown[0][0])]
+    rows += [(c["ebn0_db"], *p.values()) for c, preds in zip(curve, breakdown) for p in preds]
+    rows += [(), tuple(curve[0]), *(tuple(c.values()) for c in curve)]
+    return {"csv": _table(rows), "json": doc}
 
 
 def _dde_stats(cfg: dict):
@@ -322,12 +318,7 @@ def cmd_enumerate(cfg: dict) -> dict:
 
 def cmd_richardson(cfg: dict) -> dict:
     H = _load_code(cfg["alist"])
-    try:
-        sets = load_trapping_sets(cfg["set"])
-    except OSError as e:
-        raise ValueError(f"cannot read set file: {e}") from None
-    except ValueError as e:
-        raise ValueError(f"bad set file: {e}") from None
+    sets = _read(load_trapping_sets, cfg["set"], "set file")
     if not sets:
         raise ValueError(f"no sets in {cfg['set']}")
     T = tuple(int(v) for v in sets[0])

@@ -322,33 +322,19 @@ def _signmag_pass(M, corr, work: _Workspace):
     return fwd.transpose(1, 2, 0)
 
 
-def _check_pass(v2c, lay: _Layout, mode: str, work: _Workspace | None = None) -> np.ndarray:
-    """All extrinsic check outputs for a batch; returns [F, E].
-
-    Rows run in blocks of `_block_rows(lay)`, each written straight into
-    the output.  An output depends on its own row alone, so the blocks
-    give the bits of one pass over the whole batch.
-    """
-    F = v2c.shape[0]
-    step = _block_rows(lay)
-    if work is None and mode != "exact-tanh":
-        work = _Workspace(lay, min(F, step))
-    c2v = np.empty((F, lay.E))
-    for r0 in range(0, F, step):
-        blk = slice(r0, r0 + step)
-        if lay.chk_padded:
-            M = _gather(v2c[blk], lay.chk_eid, np.inf, True)  # [rows, m, dcmax]
-        else:
-            # edges are numbered check-major
-            M = v2c[blk].reshape(-1, lay.m, lay.chk_eid.shape[1])
-        if mode == "exact-tanh":
-            out = _tanh_pass(M)
-        else:
-            out = _signmag_pass(M, _CORR[mode], work)
-        if lay.chk_padded:
-            c2v[blk, lay.chk_eid[lay.chk_valid]] = out[:, lay.chk_valid]
-        else:
-            c2v[blk].reshape(M.shape)[...] = out
+def _check_pass(v2c, lay: _Layout, mode: str, work: _Workspace | None) -> np.ndarray:
+    """All extrinsic check outputs for one row block; returns [F, E].
+    `work` holds at least F rows; the exact-tanh pass takes None."""
+    if lay.chk_padded:
+        M = _gather(v2c, lay.chk_eid, np.inf, True)  # [F, m, dcmax]
+    else:
+        M = v2c.reshape(-1, lay.m, lay.chk_eid.shape[1])  # edges are numbered check-major
+    out = _tanh_pass(M) if mode == "exact-tanh" else _signmag_pass(M, _CORR[mode], work)
+    c2v = np.empty((v2c.shape[0], lay.E))
+    if lay.chk_padded:
+        c2v[:, lay.chk_eid[lay.chk_valid]] = out[:, lay.chk_valid]
+    else:
+        c2v.reshape(M.shape)[...] = out
     return c2v
 
 
@@ -501,7 +487,7 @@ def decode_batch(
     # a capture hook sums over the whole batch, which stays whole until the end
     step = max(F, 1) if capture is not None else _block_rows(lay)
     # the exact-tanh pass allocates its own temporaries
-    work = None if cfg.mode == "exact-tanh" else _Workspace(lay, min(F, _block_rows(lay)))
+    work = None if cfg.mode == "exact-tanh" else _Workspace(lay, min(F, step))
 
     sat = cfg.saturation
     lo = max(cfg.max_iters - cfg.ec_window + 1, 1)  # start of the trailing window

@@ -267,38 +267,38 @@ def read_key_values(path) -> dict:
     return kv
 
 
-def _i(x: str) -> int:
+def parse_int(x: str) -> int:
     v = float(x)  # accepts 1e5
     if not v.is_integer():
         raise ValueError(f"expected an integer, got {x!r}")
     return int(v)
 
 
-def _sat(x: str):
+def parse_sat(x: str):
     return None if x.lower() in ("none", "inf", "off") else float(x)
 
 
-def _floats(x: str) -> tuple:
+def parse_floats(x: str) -> tuple:
     return tuple(float(v) for v in x.replace(",", " ").split())
 
 
 def _ints(x: str) -> tuple:
-    return tuple(_i(v) for v in x.replace(",", " ").split())
+    return tuple(parse_int(v) for v in x.replace(",", " ").split())
 
 
 # job-file key -> converter; each key but snr (snr_grid) names a
 # PredictionJob field, and code and sets are paths read by load_job
 _JOB_KEYS = {
-    "snr": _floats,
+    "snr": parse_floats,
     "rate": float,
     "multiplicities": _ints,
     "source": str,
-    "saturation": _sat,
-    "horizon": _i,
-    "inversion_iters": _i,
+    "saturation": parse_sat,
+    "horizon": parse_int,
+    "inversion_iters": parse_int,
     "mode": str,
-    "capture_frames": _i,
-    "capture_seed": _i,
+    "capture_frames": parse_int,
+    "capture_seed": parse_int,
 }
 
 

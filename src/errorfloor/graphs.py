@@ -9,8 +9,6 @@ every non-backtracking continuation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .tanner import InducedSubgraph
@@ -75,32 +73,19 @@ def subgraph_to_multigraph(sub: InducedSubgraph) -> Multigraph:
     return Multigraph(sub.a, edges)
 
 
-@dataclass
-class StateDigraph:
-    """Directed-edge states of a multigraph and their adjacency.
+def state_digraphs(graphs):
+    """State digraphs of a list of K multigraphs of one size s, built
+    together.
 
-    `states[k] = (tail, head, edge_id)`; `arcs[i, j]` is True when state j
-    continues state i (head of i = tail of j) without backtracking, and
-    `reverse[k]` is the opposite direction of the same edge.
+    D is the line digraph of the complete biorientation of G with the
+    backtracking arc pairs removed; every k-cycle of G yields two directed
+    k-cycles in D.  A graph's m = 2s states are both directions of its
+    edges, ordered by (tail, head, edge).  Returns each state's tail, head
+    and edge id as [K, m] arrays and the boolean state-update matrices
+    [K, m, m]: A[k, j, i] is True when state j continues state i (head of
+    i = tail of j) without turning back along i's edge.
     """
-
-    states: list
-    arcs: np.ndarray
-    reverse: np.ndarray
-
-    @property
-    def order(self) -> int:
-        return len(self.states)
-
-
-def _state_arcs(edges: np.ndarray):
-    """States and arcs of the state digraphs of K multigraphs of s edges
-    each, given as edges [K, s, 2] with u < v in every pair.
-
-    Returns tail, head, edge id and reverse state, each [K, 2s], and the
-    boolean arcs [K, 2s, 2s].  Each graph's states are both directions of
-    its edges, ordered by (tail, head, edge).
-    """
+    edges = np.array([G.edges for G in graphs], dtype=np.int64).reshape(len(graphs), -1, 2)
     K, size, _ = edges.shape
     tail = np.concatenate([edges[:, :, 0], edges[:, :, 1]], axis=1)
     head = np.concatenate([edges[:, :, 1], edges[:, :, 0]], axis=1)
@@ -108,28 +93,8 @@ def _state_arcs(edges: np.ndarray):
     order = np.lexsort((eid, head, tail))  # per graph, along the last axis
     rank = np.empty_like(order)
     np.put_along_axis(rank, order, np.arange(2 * size), axis=1)
-    rev = np.take_along_axis(rank, (order + size) % (2 * size), axis=1)
+    rev = np.take_along_axis(rank, (order + size) % (2 * size), axis=1)  # the reverse state
     tail, head, eid = (np.take_along_axis(x, order, axis=1) for x in (tail, head, eid))
     arcs = head[:, :, None] == tail[:, None, :]
     arcs[np.arange(K)[:, None], np.arange(2 * size), rev] = False
-    return tail, head, eid, rev, arcs
-
-
-def multigraph_to_digraph(G: Multigraph) -> StateDigraph:
-    """Build the state digraph D of G.
-
-    D is the line digraph of the complete biorientation of G with the
-    backtracking arc pairs removed; every k-cycle of G yields two directed
-    k-cycles in D.
-    """
-    if not G.connected():
-        raise ValueError("multigraph is not connected")
-    tail, head, eid, rev, arcs = _state_arcs(np.array(G.edges, dtype=np.int64).reshape(1, -1, 2))
-    states = list(zip(tail[0].tolist(), head[0].tolist(), eid[0].tolist()))
-    return StateDigraph(states, arcs[0], rev[0])
-
-
-def state_update_stack(graphs) -> np.ndarray:
-    """Boolean state-update matrices [K, m, m] of K multigraphs of one
-    size: the transposed arcs of their state digraphs, built together."""
-    return _state_arcs(np.array([G.edges for G in graphs], dtype=np.int64))[4].transpose(0, 2, 1)
+    return tail, head, eid, arcs.transpose(0, 2, 1)

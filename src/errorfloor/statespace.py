@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelConfig, qfunc
-from .graphs import Multigraph, multigraph_to_digraph, subgraph_to_multigraph
+from .graphs import Multigraph, state_digraphs, subgraph_to_multigraph
 from .spectral import SpectralSummary, spectral_summary
 from .tanner import InducedSubgraph
 
@@ -28,7 +28,6 @@ class StateSpaceModel:
     C: np.ndarray       # a x m soft-output read-out
     D_ex: np.ndarray    # a x b direct unsatisfied-check feed
     states: list        # (tail, head, edge_id) per state
-    d_v: int
     graph: Multigraph
     has_leaves: bool
     summary: SpectralSummary
@@ -59,31 +58,16 @@ def build_model(sub: InducedSubgraph, d_v: int) -> StateSpaceModel:
     deg = G.degrees()
     if np.any(deg > d_v):
         raise ValueError("multigraph degree exceeds d_v")
-    D = multigraph_to_digraph(G)
-    A = D.arcs.T.astype(float)
-    m = D.order
-
-    B = np.zeros((m, G.n))
-    C = np.zeros((G.n, m))
-    for k, (tail, head, _) in enumerate(D.states):
-        B[k, tail] = 1.0
-        C[head, k] = 1.0
-
+    tail, head, eid, A = (x[0] for x in state_digraphs([G]))
+    A = A.astype(float)
+    eye = np.eye(G.n)
     # one external column per missing unit of degree, grouped by vertex
-    ext_vertex = []
-    for v in range(G.n):
-        ext_vertex.extend([v] * (d_v - int(deg[v])))
-    b = len(ext_vertex)
-    B_ex = np.zeros((m, b))
-    D_ex = np.zeros((G.n, b))
-    for j, v in enumerate(ext_vertex):
-        D_ex[v, j] = 1.0
-        for k, (tail, _, _) in enumerate(D.states):
-            if tail == v:
-                B_ex[k, j] = 1.0
-
+    D_ex = eye[:, np.repeat(np.arange(G.n), d_v - deg)]
+    # a state takes its tail's channel value and external inputs; its
+    # head's soft output reads it
     return StateSpaceModel(
-        A, B, B_ex, C, D_ex, D.states, d_v, G, bool(np.any(deg <= 1)),
+        A, eye[tail], D_ex[tail], eye[:, head], D_ex,
+        list(zip(tail.tolist(), head.tolist(), eid.tolist())), G, bool(np.any(deg <= 1)),
         spectral_summary(A[None])[0],
     )
 

@@ -29,7 +29,7 @@ from errorfloor.dde import (
     pointwise_crossing,
 )
 from errorfloor.floorpred import PredictionJob, predict_curve, stats_from_dde
-from errorfloor.graphs import Multigraph, multigraph_to_digraph, state_update_stack
+from errorfloor.graphs import Multigraph, state_digraphs
 from errorfloor.simharness import (
     McConfig,
     SemiAnalyticConfig,
@@ -119,7 +119,7 @@ def test_criterion_02_overflow_behaviour():
 
 
 def spectrum_of(G):
-    return spectral_summary(multigraph_to_digraph(G).arcs.T[None].astype(float))[0]
+    return spectral_summary(state_digraphs([G])[3].astype(float))[0]
 
 
 @criterion(3, "spectral radius goldens for the small canonical graphs")
@@ -423,7 +423,7 @@ def test_criterion_12_spectral_bounds_sweep():
                 classes = generate_classes(d_v, a, b)
                 if not classes:
                     continue
-                A = state_update_stack(classes)
+                *_, A = state_digraphs(classes)
                 for s, lo, hi in zip(spectral_summary(A), *frobenius_bounds(A)):
                     assert lo - 1e-9 <= s.r <= hi + 1e-9
                     assert d_v - 1 - b / a <= s.r + 1e-9

@@ -66,3 +66,15 @@ def test_every_public_name_has_a_caller():
     assert sorted(set(uncalled) - set(ALLOWED)) == []
     # an entry whose name is gone, or has gained a caller, leaves the list
     assert sorted(set(ALLOWED) - set(uncalled)) == []
+
+
+def test_no_module_imports_another_modules_private_name():
+    # a name one module keeps private is not another module's to use;
+    # dunder names such as __version__ are public
+    private = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                private += [f"{path.name}: {a.name}" for a in node.names
+                            if a.name.startswith("_") and not a.name.startswith("__")]
+    assert private == []

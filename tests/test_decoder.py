@@ -361,34 +361,31 @@ def _kernel_inputs(rng, F, E, special):
 
 @pytest.mark.parametrize("mode", ["pairwise", "approx", "min-sum"])
 @pytest.mark.parametrize("which", ["regular", "irregular"])
-def test_check_kernel_matches_signed_oracle(mode, which, code, irregular_code, monkeypatch):
+def test_check_kernel_matches_signed_oracle(mode, which, code, irregular_code):
     H = code if which == "regular" else irregular_code
     lay = _layout(H)
     rng = np.random.default_rng(len(mode) + 7 * len(which))
     for F in (1, 5, 64):
+        work = _Workspace(lay, F)
         x = _kernel_inputs(rng, F, lay.E, special=False)
         ref = _oracle_check_pass(x, lay, mode)
-        out = _check_pass(x, lay, mode)
+        out = _check_pass(x, lay, mode, work)
         # bit equality; only an exact zero may come out as -0.0 here
         assert np.array_equal(out, ref)
         nz = ref != 0
         assert np.array_equal(out[nz].view(np.int64), ref[nz].view(np.int64))
         x = _kernel_inputs(rng, F, lay.E, special=True)  # also +-inf and ~1e-16
         np.testing.assert_allclose(
-            _check_pass(x, lay, mode), _oracle_check_pass(x, lay, mode), rtol=0, atol=1e-12
+            _check_pass(x, lay, mode, work), _oracle_check_pass(x, lay, mode), rtol=0, atol=1e-12
         )
-    # two full row blocks and a partial one give the bits of one block.
-    # So many rows also draw magnitudes ~1e-16 without `special`: the
+    # so many rows also draw magnitudes ~1e-16 without `special`: the
     # recursion can carry one across zero, and an exact-zero input then
-    # leaves ~3e-17 where the oracle gives 0, blocked or not
+    # leaves ~3e-17 where the oracle gives 0
     F = 2 * _block_rows(lay) + 3
+    work = _Workspace(lay, F)
     for special in (False, True):
         x = _kernel_inputs(rng, F, lay.E, special)
-        out = _check_pass(x, lay, mode)
-        with monkeypatch.context() as mp:
-            mp.setattr(decoder_mod, "_BLOCK_BYTES", 1 << 40)
-            whole = _check_pass(x, lay, mode)
-        assert np.array_equal(out.view(np.int64), whole.view(np.int64))
+        out = _check_pass(x, lay, mode, work)
         ref = _oracle_check_pass(x, lay, mode)
         np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
         if not special:

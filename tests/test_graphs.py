@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from errorfloor.graphs import (
-    Multigraph,
-    multigraph_to_digraph,
-    state_update_stack,
-    subgraph_to_multigraph,
-)
+from errorfloor.graphs import Multigraph, state_digraphs, subgraph_to_multigraph
 from errorfloor.tanner import ParityCheckMatrix, induce, random_regular_code
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -54,41 +49,50 @@ def test_subgraph_to_multigraph_rejects_non_elementary():
 
 
 def digraph_of(edges, n=None):
+    """States (tail, head, edge) as [m] arrays and arcs [m, m] of one
+    multigraph: arcs[i, j] when state j continues state i."""
     n = 1 + max(max(e) for e in edges) if n is None else n
-    return multigraph_to_digraph(Multigraph(n, edges))
+    tail, head, eid, A = (x[0] for x in state_digraphs([Multigraph(n, edges)]))
+    return tail, head, eid, A.T
 
 
 def test_digraph_structure():
-    D = digraph_of(K4_EDGES)
-    assert D.order == 12  # two states per edge
+    tail, head, eid, arcs = digraph_of(K4_EDGES)
+    assert arcs.shape == (12, 12)  # two states per edge
     deg = Multigraph(4, K4_EDGES).degrees()
-    for i, (_, head, _) in enumerate(D.states):
-        assert D.arcs[i].sum() == deg[head] - 1  # continuations skip the reverse
-        assert D.arcs[i, D.reverse[i]] == 0
-    rev = D.reverse
-    assert np.array_equal(rev[rev], np.arange(D.order))
+    # each edge gives one state per direction
+    assert np.array_equal(np.bincount(eid), np.full(6, 2))
+    for i in range(12):
+        assert arcs[i].sum() == deg[head[i]] - 1  # continuations skip the reverse
+        for j in np.flatnonzero(arcs[i]):
+            # j starts where i ends and never returns along i's edge
+            assert tail[j] == head[i] and eid[j] != eid[i]
 
 
 def test_digraph_cycle_splits_in_two():
     # a k-cycle yields two disjoint directed k-cycles
-    D = digraph_of([(0, 1), (1, 2), (2, 3), (0, 3)])
-    assert D.order == 8
-    assert np.all(D.arcs.sum(axis=1) == 1)
-    A = D.arcs.astype(np.int64)
-    walk = np.linalg.matrix_power(A, 4)
+    *_, arcs = digraph_of([(0, 1), (1, 2), (2, 3), (0, 3)])
+    assert arcs.shape == (8, 8)
+    assert np.all(arcs.sum(axis=1) == 1)
+    walk = np.linalg.matrix_power(arcs.astype(np.int64), 4)
     assert np.array_equal(np.diag(walk), np.ones(8, dtype=np.int64))
 
 
 def test_digraph_parallel_edges():
     # double edge = 2-cycle: each direction continues into the other edge
-    D = digraph_of([(0, 1), (0, 1)])
-    assert D.order == 4
-    assert np.all(D.arcs.sum(axis=1) == 1)
+    tail, head, eid, arcs = digraph_of([(0, 1), (0, 1)])
+    assert arcs.shape == (4, 4)
+    assert np.all(arcs.sum(axis=1) == 1)
+    i, j = np.nonzero(arcs)
+    assert np.all(eid[i] != eid[j]) and np.array_equal(head[i], tail[j])
 
 
-def test_digraph_requires_connected():
-    with pytest.raises(ValueError, match="connected"):
-        multigraph_to_digraph(Multigraph(4, [(0, 1), (2, 3)]))
+def test_digraph_of_a_vertex_without_edges():
+    # the one-vertex graph has no state; its empty edge list still makes
+    # a [K, 0, 2] stack
+    tail, head, eid, A = state_digraphs([Multigraph(1, []), Multigraph(1, [])])
+    assert tail.shape == head.shape == eid.shape == (2, 0)
+    assert A.shape == (2, 0, 0) and A.dtype == bool
 
 
 # --- the former loop-built digraph, kept as the oracle of the array-built
@@ -116,12 +120,12 @@ def _oracle_digraph(G):
 
 
 def assert_matches_oracle(G):
-    D = multigraph_to_digraph(G)
-    states, arcs, rev = _oracle_digraph(G)
-    assert D.states == states
-    assert all(type(x) is int for s in D.states for x in s)
-    assert D.arcs.dtype == bool and np.array_equal(D.arcs, arcs)
-    assert D.reverse.dtype == rev.dtype and np.array_equal(D.reverse, rev)
+    tail, head, eid, A = (x[0] for x in state_digraphs([G]))
+    states, arcs, _ = _oracle_digraph(G)
+    got = list(zip(tail.tolist(), head.tolist(), eid.tolist()))
+    assert got == states
+    assert all(type(x) is int for s in got for x in s)
+    assert A.dtype == bool and np.array_equal(A.T, arcs)
 
 
 def test_digraph_matches_loop_oracle_on_census_classes():
@@ -137,7 +141,7 @@ def test_digraph_matches_loop_oracle_on_census_classes():
                     assert_matches_oracle(G)
                     checked += 1
                 if classes:  # the family's stack, built at once, holds the same arcs
-                    A = state_update_stack(classes)
+                    *_, A = state_digraphs(classes)
                     assert A.dtype == bool
                     for G, M in zip(classes, A):
                         assert np.array_equal(M, _oracle_digraph(G)[1].T)
@@ -162,7 +166,7 @@ def test_digraph_matches_loop_oracle_on_multigraphs_with_parallel_edges():
         same_size.setdefault((G.n, G.size), []).append(G)
     assert checked > 100
     for graphs in same_size.values():
-        for G, M in zip(graphs, state_update_stack(graphs)):
+        for G, M in zip(graphs, state_digraphs(graphs)[3]):
             assert np.array_equal(M, _oracle_digraph(G)[1].T)
     # the statespace input: a collapsed subgraph whose 4-cycles are
     # parallel edges, and the one-vertex graph with no state

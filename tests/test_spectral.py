@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from errorfloor import census, spectral
-from errorfloor.graphs import Multigraph, multigraph_to_digraph, state_update_stack
+from errorfloor.graphs import Multigraph, state_digraphs
 from errorfloor.spectral import _arcs, _sccs, _structure, frobenius_bounds
 
 CYCLE4 = np.roll(np.eye(4), 1, axis=1)  # permutation: period 4
@@ -95,8 +95,8 @@ def test_radius_on_reducible():
 
 def test_permutation_cycle_case():
     # 4-cycle multigraph: state digraph is two disjoint directed 4-cycles
-    D = multigraph_to_digraph(Multigraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
-    s = spectral_summary(D.arcs.T.astype(float))
+    *_, A = state_digraphs([Multigraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])])
+    s = spectral_summary(A[0].astype(float))
     assert s.reducible_cycle_case
     assert s.r == 1.0 and s.h == 4
     assert s.w1 == pytest.approx(np.full(8, 1 / 8))
@@ -161,7 +161,7 @@ def _census_families():
             for b in range((a * d_v) % 2, a * (d_v - d_v // 2 - 1) + 1, 2):
                 classes = census.generate_classes(d_v, a, b)
                 if classes:
-                    yield state_update_stack(classes)
+                    yield state_digraphs(classes)[3]
 
 
 def test_stacked_iteration_matches_scalar_oracle_on_census_families():
@@ -186,12 +186,12 @@ def test_stacked_iteration_matches_scalar_oracle_on_census_families():
 
 
 def test_stack_mixes_cycle_reducible_and_irreducible_members():
-    cycle = multigraph_to_digraph(Multigraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
+    cycle = Multigraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     # a triangle with a double edge and a pendant vertex: leaf states
     # make the state digraph reducible, as build_model allows
-    leafy = multigraph_to_digraph(Multigraph(4, [(0, 1), (0, 1), (1, 2), (0, 3)]))
-    dense = multigraph_to_digraph(Multigraph(3, [(0, 1), (0, 1), (1, 2), (0, 2)]))
-    stack = np.stack([D.arcs.T for D in (cycle, leafy, dense)]).astype(float)
+    leafy = Multigraph(4, [(0, 1), (0, 1), (1, 2), (0, 3)])
+    dense = Multigraph(3, [(0, 1), (0, 1), (1, 2), (0, 2)])
+    stack = np.concatenate([state_digraphs([G])[3] for G in (cycle, leafy, dense)]).astype(float)
     got = spectral.spectral_summary(stack)
     assert got[0].reducible_cycle_case and got[0].h == 4
     assert got[0].w1 == pytest.approx(np.full(8, 1 / 8))

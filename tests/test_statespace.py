@@ -17,7 +17,7 @@ from errorfloor.statespace import (
     inversion_probability,
     union_bounds,
 )
-from errorfloor.tanner import induce, random_regular_code
+from errorfloor.tanner import ParityCheckMatrix, induce, random_regular_code
 
 CFG = ChannelConfig(2.8, 0.5)
 
@@ -93,6 +93,50 @@ def test_build_model_flags_leaves():
     model = build_model(induce(H, (0, 1, 2, 3)), 3)
     assert model.has_leaves
     assert model.b == 4
+
+
+def test_build_model_rejects_disconnected_subgraph():
+    # two triangles with no check between them: an elementary set whose
+    # multigraph is not connected
+    H = ParityCheckMatrix([[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5]], 6)
+    with pytest.raises(ValueError, match="connected"):
+        build_model(induce(H, range(6)), 3)
+
+
+def _oracle_injections(model, d_v):
+    """The former loop-built B, B_ex, C and D_ex of a model's states."""
+    n, m = model.graph.n, len(model.states)
+    B = np.zeros((m, n))
+    C = np.zeros((n, m))
+    for k, (tail, head, _) in enumerate(model.states):
+        B[k, tail] = 1.0
+        C[head, k] = 1.0
+    deg = model.graph.degrees()
+    ext_vertex = []
+    for v in range(n):
+        ext_vertex.extend([v] * (d_v - int(deg[v])))
+    B_ex = np.zeros((m, len(ext_vertex)))
+    D_ex = np.zeros((n, len(ext_vertex)))
+    for j, v in enumerate(ext_vertex):
+        D_ex[v, j] = 1.0
+        for k, (tail, _, _) in enumerate(model.states):
+            if tail == v:
+                B_ex[k, j] = 1.0
+    return B, B_ex, C, D_ex
+
+
+@pytest.mark.parametrize("planted, T", [
+    ([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], range(4)),
+    ([(0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4), (1,)], range(5)),
+    ([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)], range(4)),
+    ([(0, 1), (0, 1), (1, 2), (0, 2), (2, 3)], range(4)),
+], ids=["k4", "absorbing", "diamond", "leafy"])
+def test_build_model_injections_match_loop_oracle(planted, T):
+    H = random_regular_code(96, 3, 6, seed=4, planted=planted)
+    model = build_model(induce(H, T), 3)
+    for got, want in zip((model.B, model.B_ex, model.C, model.D_ex),
+                         _oracle_injections(model, 3), strict=True):
+        assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def test_beta_prime_moments_guard_and_growth(k4_model, stats):
