@@ -5,7 +5,11 @@ Check updates run in one of four modes: the reference tanh-product form
 cannot overflow, its two-piece linear approximation, and min-sum.  The
 last three share one sign/magnitude kernel: a check's sign parity is the
 XOR of its inputs' sign bits, and a forward/backward pairwise recursion
-runs on magnitudes alone.
+runs on magnitudes alone.  The exact reduction runs it on t = exp(-|x|),
+where a pair step is (t_a + t_b) / (1 + t_a t_b) (Hagenauer, Offer and
+Papke 1996): one exp per input, one log per output.  A row block with a
+finite input magnitude above 700, where exp loses precision, runs it in
+the log domain, so no input magnitude overflows.
 Saturation, when enabled, clamps check-node outputs only; variable nodes
 and channel LLRs are never clipped.
 """
@@ -64,7 +68,9 @@ def _boxplus(a, b, out, corr, t1, t2):
 
     Writes -(min(|a|,|b|) + L(|a|+|b|) - L(||a|-|b||)) into `out`, which
     may alias `a`; with corr None (min-sum) only the min is kept.  +inf
-    magnitudes are neutral: both corrections vanish.
+    magnitudes are neutral: both corrections vanish.  The clamp at 0 keeps
+    a result of magnitudes ~1e-16 that rounds above 0 from outliving a
+    later exact-zero input.
     """
     if corr is None:
         return np.maximum(a, b, out=out)
@@ -77,7 +83,22 @@ def _boxplus(a, b, out, corr, t1, t2):
     corr(t2, t2)
     corr(t1, t1)
     np.subtract(t2, t1, out=t2)
-    return np.subtract(out, t2, out=out)
+    np.subtract(out, t2, out=out)
+    return np.minimum(out, 0.0, out=out)
+
+
+def _tplus(a, b, out, corr, t1, t2):
+    """(a + b) / (1 + ab) into `out` (may alias `a`) on t = exp(-|x|); t = 0
+    is neutral.  It stays <= 1 in float64: for a >= b, a + b - 1 <= ab is a
+    multiple of ulp(b), so 1 + fl(ab) >= a + b."""
+    np.multiply(a, b, out=t1)
+    t1 += 1.0
+    np.add(a, b, out=out)
+    return np.divide(out, t1, out=out)
+
+
+# exp(-|x|) stays a normal float64 up to |x| ~ 708 and underflows near 745
+_T_MAX = 700.0
 
 
 def _sgn(x: float) -> float:
@@ -295,8 +316,10 @@ def _signmag_pass(M, corr, work: _Workspace):
     An output's sign is the XOR of the other inputs' sign bits: the
     check's parity XOR the edge's own.  Its magnitude is the forward/
     backward pairwise recursion of `_boxplus` over negated magnitudes
-    -|x|, held position-major ([dcmax, F, m]) so every step runs on
-    contiguous rows.  Returns a [F, m, dcmax] view of a workspace buffer.
+    -|x| (of `_tplus` over their exps in the exact mode, unless a finite
+    magnitude exceeds `_T_MAX`), held position-major ([dcmax, F, m]) so
+    every step runs on contiguous rows.  Returns a [F, m, dcmax] view of
+    a workspace buffer.
     """
     F, m, dc = M.shape
     X, fwd, bwd, t1, t2, S = work.views(F)
@@ -308,16 +331,24 @@ def _signmag_pass(M, corr, work: _Workspace):
     flip ^= _SIGN  # the recursion yields -|out|: flip where the sign is +
     S ^= flip
     Xb |= _SIGN
-    with np.errstate(invalid="ignore"):
+    # -inf (t = 0) is neutral in both domains, so only finite inputs count
+    tdom = corr is _corr_exact and not (
+        X.min() < -_T_MAX and ((X < -_T_MAX) & (X > -np.inf)).any())
+    step, neutral = (_tplus, 0.0) if tdom else (_boxplus, -np.inf)
+    if tdom:
+        np.exp(X, out=X)
+    with np.errstate(invalid="ignore", divide="ignore"):  # log(t = 0) = -inf
         if dc > 1:
             fwd[1] = X[0]
             bwd[dc - 2] = X[dc - 1]
         for k in range(2, dc):
-            _boxplus(fwd[k - 1], X[k - 1], fwd[k], corr, t1[0], t2[0])
-            _boxplus(bwd[dc - k], X[dc - k], bwd[dc - 1 - k], corr, t1[0], t2[0])
+            step(fwd[k - 1], X[k - 1], fwd[k], corr, t1[0], t2[0])
+            step(bwd[dc - k], X[dc - k], bwd[dc - 1 - k], corr, t1[0], t2[0])
         mid = slice(1, dc - 1)
-        _boxplus(fwd[mid], bwd[mid], fwd[mid], corr, t1[mid], t2[mid])
-    fwd[0] = bwd[0] if dc > 1 else -np.inf
+        step(fwd[mid], bwd[mid], fwd[mid], corr, t1[mid], t2[mid])
+        fwd[0] = bwd[0] if dc > 1 else neutral
+        if tdom:
+            np.log(fwd, out=fwd)
     fwd.view(np.int64)[...] ^= S
     return fwd.transpose(1, 2, 0)
 

@@ -272,7 +272,8 @@ _ORACLE_CORR = {"pairwise": _oracle_corr_exact, "approx": _oracle_corr_approx, "
 
 def _oracle_pair_reduce(a, b, corr):
     """sign(a)sign(b)min(|a|,|b|) + corr(|a+b|, |a-b|); infinite
-    arguments act as neutral elements (corrections vanish)."""
+    arguments act as neutral elements (corrections vanish).  A sum whose
+    sign rounds away from the base's is 0, as the kernel clamps it."""
     base = np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
     if corr is None:
         return base
@@ -283,10 +284,11 @@ def _oracle_pair_reduce(a, b, corr):
     inf_mask = np.isinf(a) | np.isinf(b)
     if inf_mask.any():
         c = np.where(inf_mask, 0.0, c)
-    return base + c
+    out = base + c
+    return np.where(np.sign(out) * np.sign(base) < 0, 0.0, out)
 
 
-def _oracle_check_pass(v2c, lay, mode):
+def _oracle_log_check_pass(v2c, lay, mode):
     F = v2c.shape[0]
     ext = np.concatenate([v2c, np.full((F, 1), np.inf)], axis=1)
     M = ext[:, lay.chk_eid]
@@ -301,6 +303,79 @@ def _oracle_check_pass(v2c, lay, mode):
     c2v = np.empty((F, lay.E))
     c2v[:, lay.chk_eid[lay.chk_valid]] = out[:, lay.chk_valid]
     return c2v
+
+
+# --- the t-domain recursion of the exact mode, kept as its oracle ---
+
+def _t_pair(a, b):
+    """The exact pair step on t = exp(-|x|); plain IEEE arithmetic, so a
+    float and an array of rows give the same bits."""
+    return (a + b) / (1.0 + a * b)
+
+
+def _t_fold(ts):
+    """Pair steps over `ts` in order, from the neutral t = 0."""
+    acc = 0.0
+    for t in ts:
+        acc = _t_pair(acc, t)
+    return acc
+
+
+def _t_llr(t, neg):
+    """Check outputs from combined t: magnitude -log(t), negative where
+    `neg`.  numpy's log (and exp below), as in the kernel."""
+    with np.errstate(divide="ignore"):
+        mag = np.log(t)  # <= 0; +0.0 at t = 1
+    return np.where(neg, mag, -mag)
+
+
+def _t_check_update(msgs) -> float:
+    """Scalar t-domain check output for inputs `msgs`."""
+    x = np.asarray(msgs, dtype=float)
+    t = _t_fold(np.exp(-np.abs(x)).tolist())
+    return float(_t_llr(np.array(t), np.signbit(x).sum() % 2 == 1))
+
+
+def _oracle_t_check_pass(v2c, lay):
+    """Every edge's output as the batched kernel forms it: the forward
+    fold of the inputs before it combined with the backward fold of
+    those after it (t = 0 pads are exact no-ops, so real inputs only)."""
+    c2v = np.empty_like(v2c)
+    for c in range(lay.m):
+        eids = lay.chk_eid[c, lay.chk_valid[c]]
+        x = v2c[:, eids]
+        t = list(np.exp(-np.abs(x)).T)
+        tout = np.empty_like(x)
+        for k in range(len(t)):
+            tout[:, k] = _t_pair(_t_fold(t[:k]), _t_fold(t[:k:-1]))
+        sb = np.signbit(x)
+        c2v[:, eids] = _t_llr(tout, (sb.sum(axis=1, keepdims=True) - sb) % 2 == 1)
+    return c2v
+
+
+def _takes_t_domain(v2c, mode):
+    """The kernel's per-block choice: the exact mode runs in t unless a
+    finite input magnitude exceeds 700."""
+    return mode == "pairwise" and not ((np.abs(v2c) > 700.0) & np.isfinite(v2c)).any()
+
+
+def _oracle_check_pass(v2c, lay, mode):
+    """The check pass of one row block."""
+    if _takes_t_domain(v2c, mode):
+        return _oracle_t_check_pass(v2c, lay)
+    return _oracle_log_check_pass(v2c, lay, mode)
+
+
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_t_pair_stays_at_most_one(a, b):
+    # the kernel takes log(t) as a negated magnitude without a cap at 1
+    assert _t_pair(a, b) <= 1.0
+
+
+@given(st.lists(st.floats(-700, 700), min_size=2, max_size=9))
+def test_t_fold_tracks_pairwise(msgs):
+    # criterion 1's tolerance, up to the largest magnitude the t domain takes
+    assert _t_check_update(msgs) == pytest.approx(check_update_pairwise(msgs), abs=1e-9)
 
 
 def _oracle_soft(H, llr, cfg):
@@ -343,54 +418,115 @@ def irregular_code():
     return H
 
 
-def _kernel_inputs(rng, F, E, special):
+def _kernel_inputs(rng, F, E, special, big):
     x = rng.normal(2.0, 4.0, size=(F, E)) * rng.choice([1e-3, 1.0, 30.0], size=(F, E))
     picks = rng.random((F, E))
     x[picks < 0.05] = 0.0
-    x[(picks >= 0.05) & (picks < 0.10)] = 1e300
-    x[(picks >= 0.10) & (picks < 0.15)] = -1e300
+    x[(picks >= 0.05) & (picks < 0.10)] = big
+    x[(picks >= 0.10) & (picks < 0.15)] = -big
     if special:
         x[(picks >= 0.15) & (picks < 0.20)] = np.inf
         x[(picks >= 0.20) & (picks < 0.25)] = -np.inf
         # magnitudes whose pairwise combination rounds to within an ulp of
-        # log 2 of zero: the two recursions may part there by ~1e-16
+        # log 2 of zero, where the log-domain step needs its clamp at 0
         tiny = (picks >= 0.25) & (picks < 0.35)
         x[tiny] = rng.normal(0.0, 1e-16, size=int(tiny.sum()))
     return x
 
 
+def _count_t_steps(monkeypatch):
+    """Records each t-domain pair step of the exact mode's kernel."""
+    calls = []
+    inner = decoder_mod._tplus
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(decoder_mod, "_tplus", counted)
+    return calls
+
+
 @pytest.mark.parametrize("mode", ["pairwise", "approx", "min-sum"])
 @pytest.mark.parametrize("which", ["regular", "irregular"])
-def test_check_kernel_matches_signed_oracle(mode, which, code, irregular_code):
+def test_check_kernel_matches_signed_oracle(mode, which, code, irregular_code, monkeypatch):
     H = code if which == "regular" else irregular_code
     lay = _layout(H)
     rng = np.random.default_rng(len(mode) + 7 * len(which))
-    for F in (1, 5, 64):
+    calls = _count_t_steps(monkeypatch)
+    # blocks with |x| = 700 take the t domain in the exact mode, blocks
+    # with |x| = 745.5 (exp(-745.5) is 0) or 1e300 the log domain; so many
+    # rows (F = 2 block + 3) also draw magnitudes ~1e-16 without `special`
+    for F in (1, 5, 64, 2 * _block_rows(lay) + 3):
         work = _Workspace(lay, F)
-        x = _kernel_inputs(rng, F, lay.E, special=False)
-        ref = _oracle_check_pass(x, lay, mode)
-        out = _check_pass(x, lay, mode, work)
-        # bit equality; only an exact zero may come out as -0.0 here
-        assert np.array_equal(out, ref)
-        nz = ref != 0
-        assert np.array_equal(out[nz].view(np.int64), ref[nz].view(np.int64))
-        x = _kernel_inputs(rng, F, lay.E, special=True)  # also +-inf and ~1e-16
-        np.testing.assert_allclose(
-            _check_pass(x, lay, mode, work), _oracle_check_pass(x, lay, mode), rtol=0, atol=1e-12
-        )
-    # so many rows also draw magnitudes ~1e-16 without `special`: the
-    # recursion can carry one across zero, and an exact-zero input then
-    # leaves ~3e-17 where the oracle gives 0
-    F = 2 * _block_rows(lay) + 3
-    work = _Workspace(lay, F)
-    for special in (False, True):
-        x = _kernel_inputs(rng, F, lay.E, special)
-        out = _check_pass(x, lay, mode, work)
-        ref = _oracle_check_pass(x, lay, mode)
-        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
-        if not special:
-            far = np.abs(ref) > 1e-12
-            assert np.array_equal(out[far].view(np.int64), ref[far].view(np.int64))
+        for big in (700.0, 745.5, 1e300):
+            for special in (False, True):  # also +-inf and ~1e-16
+                x = _kernel_inputs(rng, F, lay.E, special, big)
+                calls.clear()
+                out = _check_pass(x, lay, mode, work)
+                # an infinite input (t = 0) leaves a block in the t domain
+                assert bool(calls) == (mode == "pairwise" and big == 700.0)
+                ref = _oracle_check_pass(x, lay, mode)
+                # bit equality; only an exact zero may come out as -0.0 here
+                assert np.array_equal(out, ref)
+                nz = ref != 0
+                assert np.array_equal(out[nz].view(np.int64), ref[nz].view(np.int64))
+
+
+# one degree-9 check whose log-domain recursion, unclamped, carried a sum
+# of magnitudes ~1e-16 across zero: edges 2, 6 and 7 then got +-6.99e-17
+# although the exact-zero input is among their others
+_CROSSING = [4.1163053637413283e-17, 0.00010425133694426775, -1.2853466294403426e-14,
+             0.013664634705496859, -6.651946734866135e-05, 3.5151007009301975e-05,
+             9.034701816518086e-05, 0.0009401229776087457, 0.0]
+
+
+def test_exact_zero_input_zeroes_every_other_edge(monkeypatch):
+    lay = _layout(ParityCheckMatrix([list(range(9))], 9))
+    calls = _count_t_steps(monkeypatch)
+    # alone the check runs in the t domain; beside a row of 1e6 inputs its
+    # block runs in the log domain
+    for rows, t_domain in (([_CROSSING], True), ([_CROSSING, [1e6] * 9], False)):
+        calls.clear()
+        out = _check_pass(np.array(rows), lay, "pairwise", _Workspace(lay, len(rows)))
+        assert bool(calls) == t_domain
+        assert (out[0, :-1] == 0.0).all()
+
+
+@pytest.mark.parametrize("mode", ["pairwise", "approx", "min-sum"])
+def test_degree_one_checks_send_the_neutral_inf(mode):
+    # one input per check: the recursion never runs, every output is +inf
+    lay = _layout(ParityCheckMatrix([[0], [1]], 2))
+    assert np.isposinf(_check_pass(np.array([[0.5, -3.0]]), lay, mode, _Workspace(lay, 1))).all()
+
+
+def test_unclamped_block_with_huge_messages_matches_scalar_reference(code, monkeypatch):
+    # exp(-1e6) is 0 in float64, which the t domain reads as an infinite
+    # magnitude: a block holding such a message runs the log-domain
+    # recursion, which no input magnitude overflows
+    lay = _layout(code)
+    llrs = clean_llrs(code, ChannelConfig(2.0, 0.5), 2, seed=12)
+    llrs[1] *= 1e6
+    calls = _count_t_steps(monkeypatch)
+    passes = []
+    inner = decoder_mod._check_pass
+
+    def recorded(v2c, *args):
+        out = inner(v2c, *args)
+        passes.append((v2c.copy(), out.copy()))
+        return out
+
+    monkeypatch.setattr(decoder_mod, "_check_pass", recorded)
+    res = decode_batch(code, llrs, DecoderConfig(max_iters=4, saturation=None, early_stop=False))
+    assert not calls and len(passes) == 4
+    assert np.isfinite(res.soft).all()
+    for v2c, c2v in passes:
+        for e in range(lay.E):
+            others = lay.chk_eid[lay.edge_chk[e]]
+            others = others[others != e]
+            for f in range(2):
+                want = check_update_pairwise(v2c[f, others])
+                assert c2v[f, e] == pytest.approx(want, rel=1e-12, abs=1e-9)
 
 
 def _decode_all_ways(H, llrs, dec):
