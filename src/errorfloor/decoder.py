@@ -7,7 +7,7 @@ last three share one sign/magnitude kernel: a check's sign parity is the
 XOR of its inputs' sign bits, and a forward/backward pairwise recursion
 runs on magnitudes alone.  The exact reduction runs it on t = exp(-|x|),
 where a pair step is (t_a + t_b) / (1 + t_a t_b) (Hagenauer, Offer and
-Papke 1996): one exp per input, one log per output.  A row block with a
+Papke 1996): one exp per input, one log per output.  A frame with a
 finite input magnitude above 700, where exp loses precision, runs it in
 the log domain, so no input magnitude overflows.
 Saturation, when enabled, clamps check-node outputs only; variable nodes
@@ -255,7 +255,7 @@ def _gather(x, idx, fill, padded: bool):
 
 # bytes of one [dcmax, rows, m] float64 buffer of the check pass: 128
 # rows of an n = 256 (3,6) code, whose six buffers (4.5 MiB) ran faster
-# than blocks of 32, 64, 256 or all 1,024 rows on a Xeon with 4 MiB of
+# than blocks of 32, 64, 256 or all 1,024 rows on a Xeon with 2 MiB of
 # L2 per core
 _BLOCK_BYTES = 768 * 1024
 
@@ -310,16 +310,41 @@ def _tanh_pass(M):
         return np.where(e > 0.0, out, np.inf) * sf * sb
 
 
+def _recursion(X, fwd, bwd, t1, t2, step, corr, neutral):
+    """Forward/backward pass of `step` over inputs X [dcmax, F, m]; fwd
+    ends up holding each position's combination of all the others."""
+    dc = X.shape[0]
+    if dc > 1:
+        fwd[1] = X[0]
+        bwd[dc - 2] = X[dc - 1]
+    for k in range(2, dc):
+        step(fwd[k - 1], X[k - 1], fwd[k], corr, t1[0], t2[0])
+        step(bwd[dc - k], X[dc - k], bwd[dc - 1 - k], corr, t1[0], t2[0])
+    mid = slice(1, dc - 1)
+    step(fwd[mid], bwd[mid], fwd[mid], corr, t1[mid], t2[mid])
+    fwd[0] = bwd[0] if dc > 1 else neutral
+
+
+def _log_rows(X):
+    """Rows (frames) of X [dcmax, F, m] with a finite magnitude above
+    `_T_MAX`; -inf (t = 0) is neutral in both domains, so it does not
+    count.  The block-wide minimum spares clamped blocks the row scan."""
+    if not X.min() < -_T_MAX:
+        return np.zeros(0, dtype=np.intp)
+    return np.flatnonzero(((X < -_T_MAX) & (X > -np.inf)).any(axis=(0, 2)))
+
+
 def _signmag_pass(M, corr, work: _Workspace):
     """Outputs of every non-tanh mode for gathered inputs [F, m, dcmax].
 
     An output's sign is the XOR of the other inputs' sign bits: the
     check's parity XOR the edge's own.  Its magnitude is the forward/
     backward pairwise recursion of `_boxplus` over negated magnitudes
-    -|x| (of `_tplus` over their exps in the exact mode, unless a finite
-    magnitude exceeds `_T_MAX`), held position-major ([dcmax, F, m]) so
-    every step runs on contiguous rows.  Returns a [F, m, dcmax] view of
-    a workspace buffer.
+    -|x| (of `_tplus` over their exps in the exact mode, on every row
+    whose finite magnitudes stay within `_T_MAX`), held position-major
+    ([dcmax, F, m]) so every step runs on contiguous rows.  A row's path
+    depends on its own inputs alone.  Returns a [F, m, dcmax] view of a
+    workspace buffer.
     """
     F, m, dc = M.shape
     X, fwd, bwd, t1, t2, S = work.views(F)
@@ -331,24 +356,23 @@ def _signmag_pass(M, corr, work: _Workspace):
     flip ^= _SIGN  # the recursion yields -|out|: flip where the sign is +
     S ^= flip
     Xb |= _SIGN
-    # -inf (t = 0) is neutral in both domains, so only finite inputs count
-    tdom = corr is _corr_exact and not (
-        X.min() < -_T_MAX and ((X < -_T_MAX) & (X > -np.inf)).any())
-    step, neutral = (_tplus, 0.0) if tdom else (_boxplus, -np.inf)
-    if tdom:
-        np.exp(X, out=X)
+    log_rows = _log_rows(X) if corr is _corr_exact else None
     with np.errstate(invalid="ignore", divide="ignore"):  # log(t = 0) = -inf
-        if dc > 1:
-            fwd[1] = X[0]
-            bwd[dc - 2] = X[dc - 1]
-        for k in range(2, dc):
-            step(fwd[k - 1], X[k - 1], fwd[k], corr, t1[0], t2[0])
-            step(bwd[dc - k], X[dc - k], bwd[dc - 1 - k], corr, t1[0], t2[0])
-        mid = slice(1, dc - 1)
-        step(fwd[mid], bwd[mid], fwd[mid], corr, t1[mid], t2[mid])
-        fwd[0] = bwd[0] if dc > 1 else neutral
-        if tdom:
+        if log_rows is None or log_rows.size == F:
+            _recursion(X, fwd, bwd, t1, t2, _boxplus, corr, -np.inf)
+        else:
+            # rows past _T_MAX run in the log domain on a copy; the t
+            # domain runs on the whole block and their results replace
+            # its own
+            if log_rows.size:
+                X_log = X[:, log_rows]
+                fwd_log, *bufs = np.empty((4, *X_log.shape))
+                _recursion(X_log, fwd_log, *bufs, _boxplus, corr, -np.inf)
+            np.exp(X, out=X)
+            _recursion(X, fwd, bwd, t1, t2, _tplus, corr, 0.0)
             np.log(fwd, out=fwd)
+            if log_rows.size:
+                fwd[:, log_rows] = fwd_log
     fwd.view(np.int64)[...] ^= S
     return fwd.transpose(1, 2, 0)
 

@@ -19,6 +19,7 @@ from .dde import dde_run
 from .decoder import CaptureAccumulator, DecoderConfig, decode_batch
 from .statespace import (
     InputStats,
+    StateSpaceModel,
     beta_prime_moments,
     build_model,
     failure_probability,
@@ -173,19 +174,15 @@ class PredictionReport:
 
 
 def predict_set(
-    H: ParityCheckMatrix,
-    d_v: int,
-    T,
+    model: StateSpaceModel,
     stats: InputStats,
     horizon: int,
     inversion_iters: int,
     set_index: int = 0,
     multiplicity: int = 1,
 ) -> SetPrediction:
-    """State-space failure probability for one set under the given
-    per-iteration input statistics."""
-    sub = induce(H, T)
-    model = build_model(sub, d_v)
+    """State-space failure probability for one set's model under the
+    given per-iteration input statistics."""
     sched = gain_schedule(stats, inversion_iters)
     mean, var = beta_prime_moments(model, sched, stats, horizon)
     return SetPrediction(
@@ -203,7 +200,7 @@ def predict_set(
 
 
 def _curve_point(args):
-    job, snr, d_v, d_c = args
+    job, models, snr, d_v, d_c = args
     cfg = ChannelConfig(snr, job.rate)
     if job.source == "dde":
         stats = stats_from_dde(cfg, d_v, d_c, job.horizon, job.saturation)
@@ -214,10 +211,10 @@ def _curve_point(args):
         )
     rows = [
         predict_set(
-            job.H, d_v, T, stats, job.horizon, job.inversion_iters,
+            model, stats, job.horizon, job.inversion_iters,
             set_index=i, multiplicity=int(job.multiplicities[i]),
         )
-        for i, T in enumerate(job.sets)
+        for i, model in enumerate(models)
     ]
     fer, ber = union_bounds(
         [p.p_fail for p in rows],
@@ -229,12 +226,14 @@ def _curve_point(args):
 
 
 def predict_curve(job: PredictionJob, workers: int = 1) -> PredictionReport:
-    """SNR-swept FER/BER bounds with a per-set breakdown."""
+    """SNR-swept FER/BER bounds with a per-set breakdown.  Each set's
+    model is built once; only the input statistics depend on the SNR."""
     vd = job.H.var_degrees
     if not np.all(vd == vd[0]):
         raise ValueError("prediction requires a variable-regular code")
     d_v, d_c = int(vd[0]), _check_degree(job.H)
-    tasks = [(job, float(s), d_v, d_c) for s in job.snr_grid]
+    models = [build_model(induce(job.H, T), d_v) for T in job.sets]
+    tasks = [(job, models, float(s), d_v, d_c) for s in job.snr_grid]
     outs = list(ordered_map(_curve_point, tasks, workers))
     echo = {"code_id": job.code_id, "n": job.H.n_vars}
     echo.update((f.name, getattr(job, f.name)) for f in fields(job) if f.name != "H")
@@ -326,5 +325,6 @@ def load_job(path) -> PredictionJob:
     except ValueError as e:
         raise ValueError(f"bad alist {base / kv['code']}: {e}") from None
     sets = tuple(tuple(map(int, s)) for s in load_trapping_sets(base / kv["sets"]))
-    fields.setdefault("rate", H.rate())
+    if "rate" not in fields:
+        fields["rate"] = H.rate()
     return PredictionJob(H=H, sets=sets, snr_grid=fields.pop("snr"), **fields)

@@ -306,10 +306,11 @@ def test_criterion_08_codeword_closed_form():
         48, 3, 6, seed=5, planted=[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     )
     want = codeword_failure_probability(CFG28, 4)
+    model = build_model(induce(H, (0, 1, 2, 3)), 3)
     outs = []
     for horizon in (4, 9):
         stats = stats_from_dde(CFG28, 3, 6, n_iters=horizon, saturation=25.0)
-        p = predict_set(H, 3, (0, 1, 2, 3), stats, horizon, 3)
+        p = predict_set(model, stats, horizon, 3)
         assert p.p_fail == pytest.approx(want, rel=1e-12)
         outs.append(p.p_fail)
     assert outs[0] == pytest.approx(outs[1], rel=1e-12)

@@ -227,6 +227,34 @@ def test_check_pair_matches_full_table_oracle(delta, half):
     assert worst <= 1e-12
 
 
+def test_check_pair_keeps_the_tails_of_density_evolution(monkeypatch):
+    # the masses DE carries reach 1e-84, below any absolute bound: each
+    # bin must match the dense oracle to a relative 1e-12, and the zero
+    # bins must be the same
+    seen = []
+    inner = Pmf.check_pair
+
+    def recorded(self, other):
+        seen.append((self.probs, other.probs))
+        return inner(self, other)
+
+    monkeypatch.setattr(Pmf, "check_pair", recorded)
+    dde_run(3, 6, CFG, n_iters=12, saturation=25.0)
+    monkeypatch.undo()
+    steps = 6 - 2  # check_pair calls per iteration
+    smallest = 1.0
+    for it in (3, 12):
+        # vc with vc, and the last partial check output with vc
+        for x, y in (seen[steps * (it - 1)], seen[steps * it - 1]):
+            got = Pmf(x).check_pair(Pmf(y)).probs
+            want = dense_check_pair(x, y, DEFAULT_STEP, DEFAULT_HALF_BINS)
+            assert np.array_equal(got == 0.0, want == 0.0)
+            big = want > 1e-300
+            assert (np.abs(got[big] - want[big]) <= 1e-12 * want[big]).all()
+            smallest = min(smallest, want[big].min())
+    assert smallest < 1e-80
+
+
 @pytest.mark.parametrize("delta, half", GRIDS[:2])
 def test_pair_table_is_signed_min_off_the_band(delta, half):
     T = full_pair_table(delta, half)
@@ -249,13 +277,19 @@ def test_shifted_region_derived_from_the_table():
     u = np.arange(w + 1)
     on_grid = m + u <= h
     rows, cols = np.broadcast_to(m, on_grid.shape)[on_grid], np.broadcast_to(u, on_grid.shape)[on_grid]
-    group = np.searchsorted(band.starts, cols, side="right") - 1
+    by_gap = sorted(band.groups)
+    starts = np.array([g[0] for g in by_gap])
+    shift = np.array([g[2:] for g in by_gap]).T - h - band.p0  # [sign class, group]
+    assert np.array_equal(starts + [g[1] for g in by_gap], [*starts[1:], w + 1])  # they tile 0..w
+    group = np.searchsorted(starts, cols, side="right") - 1
     varies = np.zeros(on_grid.shape, dtype=bool)
     for c, sign in ((0, 1), (1, -1)):
         got = sign * T[h + rows, h + sign * (rows + cols)].astype(int)
-        varies[on_grid] |= got != rows + band.shift[c, group]
+        varies[on_grid] |= got != rows + shift[c, group]
     # p0 is the smallest magnitude from which the shift holds
-    assert band.p0 == 155 and band.starts.size == 29
+    assert band.p0 == 155 and len(band.groups) == 29
+    # the window sums grow in place, so the groups come shortest first
+    assert [g[1] for g in band.groups] == sorted(g[1] for g in band.groups)
     assert not varies[band.p0 - 1 :].any() and varies[band.p0 - 2].any()
     # a band row p of the old (p, d) layout pairs p with p +- u, so it is
     # shift-invariant only from the largest varying pair's m + u on
@@ -284,8 +318,10 @@ def whole_table_band(delta, half):
         p0 = half + 1
     low = np.where(on_grid, idx, 0)[: p0 - 1] + half
     starts = np.flatnonzero(np.r_[True, (top[1:] != top[:-1]).any(axis=1)])
-    return _Band(w, p0, low.ravel(), low[:, :, 1:].ravel(), starts,
-                 np.ascontiguousarray(top[starts].T))
+    # (first gap, length, output index per sign class), shortest first
+    groups = sorted(((int(lo), int(end - lo), *(half + p0 + int(c) for c in top[lo]))
+                     for lo, end in zip(starts, [*starts[1:], w + 1])), key=lambda g: g[1])
+    return _Band(w, p0, low.ravel(), low[:, :, 1:].ravel(), tuple(groups))
 
 
 @pytest.mark.parametrize("delta, half", GRIDS)

@@ -353,17 +353,20 @@ def _oracle_t_check_pass(v2c, lay):
     return c2v
 
 
-def _takes_t_domain(v2c, mode):
-    """The kernel's per-block choice: the exact mode runs in t unless a
-    finite input magnitude exceeds 700."""
-    return mode == "pairwise" and not ((np.abs(v2c) > 700.0) & np.isfinite(v2c)).any()
+def _t_domain_rows(v2c, mode):
+    """The kernel's per-row choice: the exact mode runs a frame in t
+    unless one of its finite input magnitudes exceeds 700."""
+    huge = ((np.abs(v2c) > 700.0) & np.isfinite(v2c)).any(axis=1)
+    return ~huge if mode == "pairwise" else np.zeros(len(v2c), dtype=bool)
 
 
 def _oracle_check_pass(v2c, lay, mode):
-    """The check pass of one row block."""
-    if _takes_t_domain(v2c, mode):
-        return _oracle_t_check_pass(v2c, lay)
-    return _oracle_log_check_pass(v2c, lay, mode)
+    """The check pass of one row block, each row in its own domain."""
+    t = _t_domain_rows(v2c, mode)
+    c2v = np.empty_like(v2c)
+    c2v[t] = _oracle_t_check_pass(v2c[t], lay)
+    c2v[~t] = _oracle_log_check_pass(v2c[~t], lay, mode)
+    return c2v
 
 
 @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
@@ -454,18 +457,25 @@ def test_check_kernel_matches_signed_oracle(mode, which, code, irregular_code, m
     lay = _layout(H)
     rng = np.random.default_rng(len(mode) + 7 * len(which))
     calls = _count_t_steps(monkeypatch)
-    # blocks with |x| = 700 take the t domain in the exact mode, blocks
-    # with |x| = 745.5 (exp(-745.5) is 0) or 1e300 the log domain; so many
-    # rows (F = 2 block + 3) also draw magnitudes ~1e-16 without `special`
+    # rows with |x| = 700 take the t domain in the exact mode, rows with
+    # |x| = 745.5 (exp(-745.5) is 0) or 1e300 the log domain; `mixed`
+    # blocks redraw every other row with |x| = 700, so both domains run
+    # in one block; so many rows (F = 2 block + 3) also draw magnitudes
+    # ~1e-16 without `special`
     for F in (1, 5, 64, 2 * _block_rows(lay) + 3):
         work = _Workspace(lay, F)
-        for big in (700.0, 745.5, 1e300):
+        for big, mixed in ((700.0, False), (745.5, False), (745.5, True), (1e300, False),
+                           (1e300, True)):
             for special in (False, True):  # also +-inf and ~1e-16
                 x = _kernel_inputs(rng, F, lay.E, special, big)
+                if mixed:
+                    x[1::2] = _kernel_inputs(rng, F, lay.E, special, 700.0)[1::2]
+                t_rows = _t_domain_rows(x, mode)
+                assert t_rows.any() == (mode == "pairwise" and (big == 700.0 or (mixed and F > 1)))
                 calls.clear()
                 out = _check_pass(x, lay, mode, work)
-                # an infinite input (t = 0) leaves a block in the t domain
-                assert bool(calls) == (mode == "pairwise" and big == 700.0)
+                # an infinite input (t = 0) leaves a row in the t domain
+                assert bool(calls) == bool(t_rows.any())
                 ref = _oracle_check_pass(x, lay, mode)
                 # bit equality; only an exact zero may come out as -0.0 here
                 assert np.array_equal(out, ref)
@@ -482,15 +492,16 @@ _CROSSING = [4.1163053637413283e-17, 0.00010425133694426775, -1.2853466294403426
 
 
 def test_exact_zero_input_zeroes_every_other_edge(monkeypatch):
-    lay = _layout(ParityCheckMatrix([list(range(9))], 9))
+    # the crossing check beside a degree-2 check: with inputs of 1 there
+    # the frame runs in the t domain, with inputs of 1e6 in the log domain
+    lay = _layout(ParityCheckMatrix([list(range(9)), [9, 10]], 11))
     calls = _count_t_steps(monkeypatch)
-    # alone the check runs in the t domain; beside a row of 1e6 inputs its
-    # block runs in the log domain
-    for rows, t_domain in (([_CROSSING], True), ([_CROSSING, [1e6] * 9], False)):
+    for other, t_domain in ((1.0, True), (1e6, False)):
         calls.clear()
-        out = _check_pass(np.array(rows), lay, "pairwise", _Workspace(lay, len(rows)))
+        out = _check_pass(np.array([_CROSSING + [other, other]]), lay, "pairwise",
+                          _Workspace(lay, 1))
         assert bool(calls) == t_domain
-        assert (out[0, :-1] == 0.0).all()
+        assert (out[0, :8] == 0.0).all()
 
 
 @pytest.mark.parametrize("mode", ["pairwise", "approx", "min-sum"])
@@ -500,33 +511,64 @@ def test_degree_one_checks_send_the_neutral_inf(mode):
     assert np.isposinf(_check_pass(np.array([[0.5, -3.0]]), lay, mode, _Workspace(lay, 1))).all()
 
 
+def _count_log_rows(monkeypatch):
+    """Records how many rows each log-domain pair step of the kernel runs on."""
+    rows = []
+    inner = decoder_mod._boxplus
+
+    def counted(a, *args):
+        rows.append(a.shape[-2])
+        return inner(a, *args)
+
+    monkeypatch.setattr(decoder_mod, "_boxplus", counted)
+    return rows
+
+
 def test_unclamped_block_with_huge_messages_matches_scalar_reference(code, monkeypatch):
     # exp(-1e6) is 0 in float64, which the t domain reads as an infinite
-    # magnitude: a block holding such a message runs the log-domain
-    # recursion, which no input magnitude overflows
+    # magnitude: the row holding such a message runs the log-domain
+    # recursion, which no input magnitude overflows, and its block-mate
+    # stays in the t domain
     lay = _layout(code)
     llrs = clean_llrs(code, ChannelConfig(2.0, 0.5), 2, seed=12)
     llrs[1] *= 1e6
-    calls = _count_t_steps(monkeypatch)
+    calls, log_rows = _count_t_steps(monkeypatch), _count_log_rows(monkeypatch)
     passes = []
     inner = decoder_mod._check_pass
 
     def recorded(v2c, *args):
+        calls.clear()
+        log_rows.clear()
         out = inner(v2c, *args)
-        passes.append((v2c.copy(), out.copy()))
+        passes.append((v2c.copy(), out.copy(), bool(calls), set(log_rows)))
         return out
 
     monkeypatch.setattr(decoder_mod, "_check_pass", recorded)
     res = decode_batch(code, llrs, DecoderConfig(max_iters=4, saturation=None, early_stop=False))
-    assert not calls and len(passes) == 4
+    # every pass takes t steps, and its log steps run on one row
+    assert [p[2:] for p in passes] == [(True, {1})] * 4
     assert np.isfinite(res.soft).all()
-    for v2c, c2v in passes:
+    for v2c, c2v, _, _ in passes:
         for e in range(lay.E):
             others = lay.chk_eid[lay.edge_chk[e]]
             others = others[others != e]
             for f in range(2):
                 want = check_update_pairwise(v2c[f, others])
                 assert c2v[f, e] == pytest.approx(want, rel=1e-12, abs=1e-9)
+
+
+def test_unclamped_frames_keep_their_bits_beside_a_huge_frame(code):
+    # a frame's domain follows its own messages, so its bits do not
+    # depend on a block-mate whose messages pass 700
+    llrs = clean_llrs(code, ChannelConfig(2.0, 0.5), 6, seed=12)
+    huge = llrs[:1] * 1e6
+    dec = DecoderConfig(max_iters=6, saturation=None, early_stop=False)
+    alone = decode_batch(code, llrs, dec)
+    beside = decode_batch(code, np.concatenate([llrs[:3], huge, llrs[3:]]), dec)
+    keep = [0, 1, 2, 4, 5, 6]
+    assert np.array_equal(alone.soft.view(np.int64), beside.soft[keep].view(np.int64))
+    for name in ("hard", "converged", "iterations", "failed"):
+        assert np.array_equal(getattr(alone, name), getattr(beside, name)[keep]), name
 
 
 def _decode_all_ways(H, llrs, dec):

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import errorfloor.floorpred
 from errorfloor.channel import ChannelConfig
 from errorfloor.floorpred import (
     PredictionJob,
@@ -15,8 +16,8 @@ from errorfloor.floorpred import (
     stats_from_capture,
     stats_from_dde,
 )
-from errorfloor.statespace import codeword_failure_probability
-from errorfloor.tanner import ParityCheckMatrix, random_regular_code, save_alist
+from errorfloor.statespace import build_model, codeword_failure_probability
+from errorfloor.tanner import ParityCheckMatrix, induce, random_regular_code, save_alist
 
 CW = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
@@ -59,13 +60,14 @@ def test_stats_from_dde_fields():
 def test_codeword_prediction_matches_closed_form(code):
     cfg = ChannelConfig(2.8, 0.5)
     want = codeword_failure_probability(cfg, 4)
+    model = build_model(induce(code, (0, 1, 2, 3)), 3)
     for horizon in (4, 9):
         stats = stats_from_dde(cfg, 3, 6, n_iters=horizon, saturation=25.0)
-        p = predict_set(code, 3, (0, 1, 2, 3), stats, horizon, 3)
+        p = predict_set(model, stats, horizon, 3)
         assert p.b == 0
         assert p.p_fail == pytest.approx(want, rel=1e-12)
         assert p.fer_contribution == p.p_fail
-    p2 = predict_set(code, 3, (0, 1, 2, 3), stats, 9, 3, multiplicity=7)
+    p2 = predict_set(model, stats, 9, 3, multiplicity=7)
     assert p2.fer_contribution == pytest.approx(7 * p2.p_fail)
 
 
@@ -100,6 +102,22 @@ def test_predict_curve_worker_invariance(job):
         predict_curve(job, workers=0)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_predict_curve_builds_each_model_once(code, monkeypatch, workers):
+    built = []
+
+    def counting_build_model(sub, d_v):
+        built.append(tuple(sub.variables.tolist()))
+        return build_model(sub, d_v)
+
+    monkeypatch.setattr(errorfloor.floorpred, "build_model", counting_build_model)
+    job = PredictionJob(H=code, sets=((0, 1, 2, 3), (0, 1, 2)), snr_grid=(2.6, 2.8, 3.0),
+                        rate=0.5, horizon=3)
+    rep = predict_curve(job, workers=workers)
+    assert built == [(0, 1, 2, 3), (0, 1, 2)]  # one build per set, not per (set, SNR)
+    assert [len(rows) for rows in rep.breakdown] == [2, 2, 2]
+
+
 def test_report_serialization(job):
     rep = predict_curve(job)
     assert np.all(np.diff(rep.fer) < 0)  # floor falls with SNR
@@ -132,6 +150,17 @@ def test_load_job_round_trip(code, tmp_path):
     assert job.rate == pytest.approx((code.n_vars - code.n_chks) / code.n_vars)
     assert job.multiplicities == (1, 1, 2)
     assert job.horizon == 6
+
+
+def test_load_job_takes_the_rank_only_without_a_rate(code, tmp_path, monkeypatch):
+    def no_rank(self):
+        raise AssertionError("the job gives the rate; no GF(2) rank is needed")
+
+    save_alist(code, tmp_path / "code.alist")
+    (tmp_path / "sets.txt").write_text("0 1 2 3\n")
+    (tmp_path / "job.cfg").write_text("code = code.alist\nsets = sets.txt\nsnr = 2.6\nrate = 0.5\n")
+    monkeypatch.setattr(ParityCheckMatrix, "rate", no_rank)
+    assert load_job(tmp_path / "job.cfg").rate == 0.5
 
 
 def test_load_job_missing_key(tmp_path):
