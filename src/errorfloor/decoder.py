@@ -2,14 +2,16 @@
 
 Check updates run in one of four modes: the reference tanh-product form
 (overflow-prone, kept as a reference), an exact pairwise reduction that
-cannot overflow, its two-piece linear approximation, and min-sum.  The
-last three share one sign/magnitude kernel: a check's sign parity is the
-XOR of its inputs' sign bits, and a forward/backward pairwise recursion
-runs on magnitudes alone.  The exact reduction runs it on t = exp(-|x|),
+cannot overflow, its two-piece linear approximation, and min-sum.  All
+four share one sign/magnitude kernel: a check's sign parity is the XOR
+of its inputs' sign bits, and a forward/backward pairwise recursion runs
+on magnitudes alone.  The exact reduction runs it on t = exp(-|x|),
 where a pair step is (t_a + t_b) / (1 + t_a t_b) (Hagenauer, Offer and
 Papke 1996): one exp per input, one log per output.  A frame with a
 finite input magnitude above 700, where exp loses precision, runs it in
-the log domain, so no input magnitude overflows.
+the log domain, so no input magnitude overflows.  The tanh product is
+the same t-domain recursion with every input whose tanh factor rounds
+to 1 (t < 2^-55) taken as the neutral t = 0.
 Saturation, when enabled, clamps check-node outputs only; variable nodes
 and channel LLRs are never clipped.
 """
@@ -27,21 +29,15 @@ MODES = ("pairwise", "exact-tanh", "approx", "min-sum")
 
 
 class NonFiniteMessageError(FloatingPointError):
-    """Raised when exact-tanh mode produces inf/nan; the tanh product
-    rounds to +-1 once any input magnitude passes ~38.12."""
+    """Raised when an exact-tanh check output is inf or nan: a tanh
+    factor rounds to +-1 once its input magnitude passes ~38.12, and an
+    output whose other inputs all rounded is +-inf."""
 
 
 # tanh(x/2) lands within half an ulp of 1 for x > 55 ln 2 = 38.1230949,
-# so a double-precision factor rounds to exactly 1 from there on
+# so a double-precision factor rounds to exactly 1 from there on: its
+# deficit 1 - tanh(x/2) falls below 2^-54, and t = exp(-x) below 2^-55
 _ROUND_EPS = 2.0 ** -54
-
-
-def _factor_deficit(x):
-    """1 - tanh(|x|/2) with double-precision rounding to 1 emulated."""
-    ax = np.abs(x)
-    with np.errstate(over="ignore"):
-        d = 2.0 / (np.exp(ax) + 1.0)
-    return np.where(d < _ROUND_EPS, 0.0, d)
 
 
 # float64 sign bit as an int64 mask
@@ -177,7 +173,17 @@ def check_update_exact(inputs) -> float:
     return sign * 2.0 * math.atanh(prod)
 
 
-_CORR = {"pairwise": _corr_exact, "approx": _corr_approx, "min-sum": None}
+# per mode: the pair step, the correction of `_boxplus` (for a t-domain
+# rule, that of its log-domain fallback past _T_MAX; None for min-sum,
+# and for the tanh rule, which needs no fallback: its floor makes every
+# input past 38.12 the neutral t = 0) and the t below which an input is
+# taken as t = 0
+_RULES = {
+    "pairwise": (_tplus, _corr_exact, 0.0),
+    "exact-tanh": (_tplus, None, 2.0 ** -55),
+    "approx": (_boxplus, _corr_approx, 0.0),
+    "min-sum": (_boxplus, None, 0.0),
+}
 
 
 @dataclass(frozen=True)
@@ -279,37 +285,6 @@ class _Workspace:
         return [b[:size].reshape(self.dcmax, F, self.m) for b in self.bufs]
 
 
-def _tanh_pass(M):
-    """Reference tanh-product outputs for gathered inputs [F, m, dcmax]."""
-    dcmax = M.shape[2]
-    sgn = np.where(M < 0, -1.0, 1.0)  # pads -> +1
-    d = _factor_deficit(M)            # pads -> 0 (neutral factor)
-    p = 1.0 - d
-    ef = np.zeros_like(M)
-    eb = np.zeros_like(M)
-    sf = np.ones_like(M)
-    sb = np.ones_like(M)
-    pf = np.ones_like(M)
-    pb = np.ones_like(M)
-    for k in range(1, dcmax):
-        ef[:, :, k] = ef[:, :, k - 1] + d[:, :, k - 1] - ef[:, :, k - 1] * d[:, :, k - 1]
-        sf[:, :, k] = sf[:, :, k - 1] * sgn[:, :, k - 1]
-        pf[:, :, k] = pf[:, :, k - 1] * p[:, :, k - 1]
-    for k in range(dcmax - 2, -1, -1):
-        eb[:, :, k] = eb[:, :, k + 1] + d[:, :, k + 1] - eb[:, :, k + 1] * d[:, :, k + 1]
-        sb[:, :, k] = sb[:, :, k + 1] * sgn[:, :, k + 1]
-        pb[:, :, k] = pb[:, :, k + 1] * p[:, :, k + 1]
-    e = ef + eb - ef * eb
-    with np.errstate(divide="ignore"):
-        # deficit form near saturation, plain product elsewhere
-        out = np.where(
-            e < 0.5,
-            np.log((2.0 - e) / np.where(e > 0.0, e, 1.0)),
-            2.0 * np.arctanh(pf * pb),
-        )
-        return np.where(e > 0.0, out, np.inf) * sf * sb
-
-
 def _recursion(X, fwd, bwd, t1, t2, step, corr, neutral):
     """Forward/backward pass of `step` over inputs X [dcmax, F, m]; fwd
     ends up holding each position's combination of all the others."""
@@ -328,24 +303,25 @@ def _recursion(X, fwd, bwd, t1, t2, step, corr, neutral):
 def _log_rows(X):
     """Rows (frames) of X [dcmax, F, m] with a finite magnitude above
     `_T_MAX`; -inf (t = 0) is neutral in both domains, so it does not
-    count.  The block-wide minimum spares clamped blocks the row scan."""
-    if not X.min() < -_T_MAX:
-        return np.zeros(0, dtype=np.intp)
+    count."""
     return np.flatnonzero(((X < -_T_MAX) & (X > -np.inf)).any(axis=(0, 2)))
 
 
-def _signmag_pass(M, corr, work: _Workspace):
-    """Outputs of every non-tanh mode for gathered inputs [F, m, dcmax].
+def _signmag_pass(M, v2c, mode: str, work: _Workspace):
+    """Outputs of every mode for inputs M [F, m, dcmax] gathered from the
+    block v2c.
 
     An output's sign is the XOR of the other inputs' sign bits: the
     check's parity XOR the edge's own.  Its magnitude is the forward/
-    backward pairwise recursion of `_boxplus` over negated magnitudes
-    -|x| (of `_tplus` over their exps in the exact mode, on every row
-    whose finite magnitudes stay within `_T_MAX`), held position-major
-    ([dcmax, F, m]) so every step runs on contiguous rows.  A row's path
+    backward recursion of the mode's pair step, held position-major
+    ([dcmax, F, m]) so every step runs on contiguous rows: `_boxplus`
+    over negated magnitudes -|x|, or `_tplus` over their exps, each t
+    below the mode's floor taken as 0.  The exact mode runs a row with a
+    finite magnitude above `_T_MAX` in the log domain, so a row's path
     depends on its own inputs alone.  Returns a [F, m, dcmax] view of a
     workspace buffer.
     """
+    step, corr, floor = _RULES[mode]
     F, m, dc = M.shape
     X, fwd, bwd, t1, t2, S = work.views(F)
     S = S.view(np.int64)
@@ -356,9 +332,20 @@ def _signmag_pass(M, corr, work: _Workspace):
     flip ^= _SIGN  # the recursion yields -|out|: flip where the sign is +
     S ^= flip
     Xb |= _SIGN
-    log_rows = _log_rows(X) if corr is _corr_exact else None
+    # a t-domain rule with a correction falls back to it; the block's
+    # largest magnitude spares most blocks the row scan.  Gathered padding
+    # reads -inf in X, so a padded block takes it from the un-gathered v2c
+    # (two passes, where X takes one)
+    log_rows = np.zeros(0, dtype=np.intp)
+    if step is not _boxplus and corr is not None:
+        if M.size > v2c.size:
+            peak = max(-v2c.min(initial=0.0), v2c.max(initial=0.0))
+        else:
+            peak = -X.min(initial=0.0)
+        if peak > _T_MAX:
+            log_rows = _log_rows(X)
     with np.errstate(invalid="ignore", divide="ignore"):  # log(t = 0) = -inf
-        if log_rows is None or log_rows.size == F:
+        if step is _boxplus or log_rows.size == F:
             _recursion(X, fwd, bwd, t1, t2, _boxplus, corr, -np.inf)
         else:
             # rows past _T_MAX run in the log domain on a copy; the t
@@ -369,7 +356,9 @@ def _signmag_pass(M, corr, work: _Workspace):
                 fwd_log, *bufs = np.empty((4, *X_log.shape))
                 _recursion(X_log, fwd_log, *bufs, _boxplus, corr, -np.inf)
             np.exp(X, out=X)
-            _recursion(X, fwd, bwd, t1, t2, _tplus, corr, 0.0)
+            if floor:
+                np.copyto(X, 0.0, where=X < floor)
+            _recursion(X, fwd, bwd, t1, t2, step, corr, 0.0)
             np.log(fwd, out=fwd)
             if log_rows.size:
                 fwd[:, log_rows] = fwd_log
@@ -377,14 +366,14 @@ def _signmag_pass(M, corr, work: _Workspace):
     return fwd.transpose(1, 2, 0)
 
 
-def _check_pass(v2c, lay: _Layout, mode: str, work: _Workspace | None) -> np.ndarray:
+def _check_pass(v2c, lay: _Layout, mode: str, work: _Workspace) -> np.ndarray:
     """All extrinsic check outputs for one row block; returns [F, E].
-    `work` holds at least F rows; the exact-tanh pass takes None."""
+    `work` holds at least F rows."""
     if lay.chk_padded:
         M = _gather(v2c, lay.chk_eid, np.inf, True)  # [F, m, dcmax]
     else:
         M = v2c.reshape(-1, lay.m, lay.chk_eid.shape[1])  # edges are numbered check-major
-    out = _tanh_pass(M) if mode == "exact-tanh" else _signmag_pass(M, _CORR[mode], work)
+    out = _signmag_pass(M, v2c, mode, work)
     c2v = np.empty((v2c.shape[0], lay.E))
     if lay.chk_padded:
         c2v[:, lay.chk_eid[lay.chk_valid]] = out[:, lay.chk_valid]
@@ -541,8 +530,7 @@ def decode_batch(
     first_conv = np.zeros(F, dtype=np.int32)
     # a capture hook sums over the whole batch, which stays whole until the end
     step = max(F, 1) if capture is not None else _block_rows(lay)
-    # the exact-tanh pass allocates its own temporaries
-    work = None if cfg.mode == "exact-tanh" else _Workspace(lay, min(F, step))
+    work = _Workspace(lay, min(F, step))
 
     sat = cfg.saturation
     lo = max(cfg.max_iters - cfg.ec_window + 1, 1)  # start of the trailing window

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelConfig, qfunc
-from .graphs import Multigraph, state_digraphs, subgraph_to_multigraph
+from .graphs import state_digraphs, subgraph_to_multigraph
 from .spectral import SpectralSummary, spectral_summary
 from .tanner import InducedSubgraph
 
@@ -28,8 +28,6 @@ class StateSpaceModel:
     C: np.ndarray       # a x m soft-output read-out
     D_ex: np.ndarray    # a x b direct unsatisfied-check feed
     states: list        # (tail, head, edge_id) per state
-    graph: Multigraph
-    has_leaves: bool
     summary: SpectralSummary
 
     @property
@@ -48,8 +46,7 @@ class StateSpaceModel:
 def build_model(sub: InducedSubgraph, d_v: int) -> StateSpaceModel:
     """Assemble (A, B, B_ex, C, D_ex) for an elementary connected
     subgraph.  Trees are rejected (no cycle, nothing to model); leaves
-    are tolerated and flagged since they only pad the spectrum with
-    zeros."""
+    are tolerated, since they only pad the spectrum with zeros."""
     G = subgraph_to_multigraph(sub)
     if not G.connected():
         raise ValueError("subgraph is not connected")
@@ -67,8 +64,7 @@ def build_model(sub: InducedSubgraph, d_v: int) -> StateSpaceModel:
     # head's soft output reads it
     return StateSpaceModel(
         A, eye[tail], D_ex[tail], eye[:, head], D_ex,
-        list(zip(tail.tolist(), head.tolist(), eid.tolist())), G, bool(np.any(deg <= 1)),
-        spectral_summary(A[None])[0],
+        list(zip(tail.tolist(), head.tolist(), eid.tolist())), spectral_summary(A[None])[0],
     )
 
 

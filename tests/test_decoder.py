@@ -209,22 +209,6 @@ def test_exact_tanh_passes_degree_one_checks(sat):
     assert np.array_equal(got.hard, want.hard)
 
 
-def test_exact_tanh_allocates_no_signmag_workspace(code, monkeypatch):
-    # the tanh pass never reads the sign/magnitude buffers (4.5 MiB on an
-    # n = 256 (3,6) code), so an exact-tanh decode must not build them
-    llrs = sample_llrs(ChannelConfig(2.4, 0.5), frame_rng(1, 0), (4, code.n_vars))
-    want = decode_batch(code, llrs, DecoderConfig(mode="exact-tanh", max_iters=5))
-
-    def refuse(*args):
-        raise AssertionError("_Workspace built for exact-tanh")
-
-    monkeypatch.setattr(decoder_mod, "_Workspace", refuse)
-    got = decode_batch(code, llrs, DecoderConfig(mode="exact-tanh", max_iters=5))
-    assert np.array_equal(got.hard, want.hard) and np.array_equal(got.soft, want.soft)
-    with pytest.raises(AssertionError, match="_Workspace"):
-        decode_batch(code, llrs, DecoderConfig(max_iters=5))
-
-
 def test_llr_width_checked(code):
     with pytest.raises(ValueError):
         decode_batch(code, np.zeros((2, code.n_vars + 1)), DecoderConfig())
@@ -336,15 +320,21 @@ def _t_check_update(msgs) -> float:
     return float(_t_llr(np.array(t), np.signbit(x).sum() % 2 == 1))
 
 
-def _oracle_t_check_pass(v2c, lay):
+# t = exp(-|x|) below which the tanh rule's factor tanh(|x|/2) rounds to 1
+_TANH_FLOOR = 2.0 ** -55
+
+
+def _oracle_t_check_pass(v2c, lay, floor=0.0):
     """Every edge's output as the batched kernel forms it: the forward
     fold of the inputs before it combined with the backward fold of
-    those after it (t = 0 pads are exact no-ops, so real inputs only)."""
+    those after it (t = 0 pads are exact no-ops, so real inputs only);
+    each t below `floor` is taken as 0."""
     c2v = np.empty_like(v2c)
     for c in range(lay.m):
         eids = lay.chk_eid[c, lay.chk_valid[c]]
         x = v2c[:, eids]
-        t = list(np.exp(-np.abs(x)).T)
+        t = np.exp(-np.abs(x))
+        t = list(np.where(t < floor, 0.0, t).T)
         tout = np.empty_like(x)
         for k in range(len(t)):
             tout[:, k] = _t_pair(_t_fold(t[:k]), _t_fold(t[:k:-1]))
@@ -355,7 +345,10 @@ def _oracle_t_check_pass(v2c, lay):
 
 def _t_domain_rows(v2c, mode):
     """The kernel's per-row choice: the exact mode runs a frame in t
-    unless one of its finite input magnitudes exceeds 700."""
+    unless one of its finite input magnitudes exceeds 700, the tanh
+    rule every frame."""
+    if mode == "exact-tanh":
+        return np.ones(len(v2c), dtype=bool)
     huge = ((np.abs(v2c) > 700.0) & np.isfinite(v2c)).any(axis=1)
     return ~huge if mode == "pairwise" else np.zeros(len(v2c), dtype=bool)
 
@@ -364,8 +357,9 @@ def _oracle_check_pass(v2c, lay, mode):
     """The check pass of one row block, each row in its own domain."""
     t = _t_domain_rows(v2c, mode)
     c2v = np.empty_like(v2c)
-    c2v[t] = _oracle_t_check_pass(v2c[t], lay)
-    c2v[~t] = _oracle_log_check_pass(v2c[~t], lay, mode)
+    c2v[t] = _oracle_t_check_pass(v2c[t], lay, _TANH_FLOOR if mode == "exact-tanh" else 0.0)
+    if not t.all():
+        c2v[~t] = _oracle_log_check_pass(v2c[~t], lay, mode)
     return c2v
 
 
@@ -437,20 +431,29 @@ def _kernel_inputs(rng, F, E, special, big):
     return x
 
 
+def _wrap_step(monkeypatch, name, record):
+    """Calls `record(a)` before each call of the kernel's pair step `name`,
+    in the module and in every mode's rule."""
+    inner = getattr(decoder_mod, name)
+
+    def counted(a, *args):
+        record(a)
+        return inner(a, *args)
+
+    monkeypatch.setattr(decoder_mod, name, counted)
+    for mode, (step, *rest) in decoder_mod._RULES.items():
+        if step is inner:
+            monkeypatch.setitem(decoder_mod._RULES, mode, (counted, *rest))
+
+
 def _count_t_steps(monkeypatch):
-    """Records each t-domain pair step of the exact mode's kernel."""
+    """Records each t-domain pair step of the kernel."""
     calls = []
-    inner = decoder_mod._tplus
-
-    def counted(*args):
-        calls.append(1)
-        return inner(*args)
-
-    monkeypatch.setattr(decoder_mod, "_tplus", counted)
+    _wrap_step(monkeypatch, "_tplus", lambda a: calls.append(1))
     return calls
 
 
-@pytest.mark.parametrize("mode", ["pairwise", "approx", "min-sum"])
+@pytest.mark.parametrize("mode", ["pairwise", "approx", "min-sum", "exact-tanh"])
 @pytest.mark.parametrize("which", ["regular", "irregular"])
 def test_check_kernel_matches_signed_oracle(mode, which, code, irregular_code, monkeypatch):
     H = code if which == "regular" else irregular_code
@@ -461,7 +464,8 @@ def test_check_kernel_matches_signed_oracle(mode, which, code, irregular_code, m
     # |x| = 745.5 (exp(-745.5) is 0) or 1e300 the log domain; `mixed`
     # blocks redraw every other row with |x| = 700, so both domains run
     # in one block; so many rows (F = 2 block + 3) also draw magnitudes
-    # ~1e-16 without `special`
+    # ~1e-16 without `special`.  The tanh rule runs every row in t, its
+    # inputs past 38.12 (30-scaled draws among them) taken as t = 0.
     for F in (1, 5, 64, 2 * _block_rows(lay) + 3):
         work = _Workspace(lay, F)
         for big, mixed in ((700.0, False), (745.5, False), (745.5, True), (1e300, False),
@@ -471,7 +475,8 @@ def test_check_kernel_matches_signed_oracle(mode, which, code, irregular_code, m
                 if mixed:
                     x[1::2] = _kernel_inputs(rng, F, lay.E, special, 700.0)[1::2]
                 t_rows = _t_domain_rows(x, mode)
-                assert t_rows.any() == (mode == "pairwise" and (big == 700.0 or (mixed and F > 1)))
+                assert t_rows.any() == (mode == "exact-tanh" or mode == "pairwise" and (
+                    big == 700.0 or (mixed and F > 1)))
                 calls.clear()
                 out = _check_pass(x, lay, mode, work)
                 # an infinite input (t = 0) leaves a row in the t domain
@@ -514,13 +519,7 @@ def test_degree_one_checks_send_the_neutral_inf(mode):
 def _count_log_rows(monkeypatch):
     """Records how many rows each log-domain pair step of the kernel runs on."""
     rows = []
-    inner = decoder_mod._boxplus
-
-    def counted(a, *args):
-        rows.append(a.shape[-2])
-        return inner(a, *args)
-
-    monkeypatch.setattr(decoder_mod, "_boxplus", counted)
+    _wrap_step(monkeypatch, "_boxplus", lambda a: rows.append(a.shape[-2]))
     return rows
 
 
@@ -569,6 +568,68 @@ def test_unclamped_frames_keep_their_bits_beside_a_huge_frame(code):
     assert np.array_equal(alone.soft.view(np.int64), beside.soft[keep].view(np.int64))
     for name in ("hard", "converged", "iterations", "failed"):
         assert np.array_equal(getattr(alone, name), getattr(beside, name)[keep]), name
+
+
+def test_padding_does_not_trigger_the_row_scan(irregular_code, monkeypatch):
+    # the irregular code's padding slots gather as +inf (-inf in the
+    # kernel): a clamped decode must not take them for magnitudes past
+    # 700 and scan every block's rows
+    scans, passes = [], []
+    inner_rows, inner_pass = decoder_mod._log_rows, decoder_mod._check_pass
+
+    def rows(X):
+        scans.append(1)
+        return inner_rows(X)
+
+    def check_pass(v2c, *args):
+        passes.append(1)
+        return inner_pass(v2c, *args)
+
+    monkeypatch.setattr(decoder_mod, "_log_rows", rows)
+    monkeypatch.setattr(decoder_mod, "_check_pass", check_pass)
+    llrs = clean_llrs(irregular_code, ChannelConfig(2.0, 0.5), 64, seed=12)
+    decode_batch(irregular_code, llrs, DecoderConfig(max_iters=10, saturation=25.0,
+                                                     early_stop=False))
+    assert (len(passes), len(scans)) == (10, 0)
+    # a frame holding 1e6-sized messages is scanned for in every pass
+    passes.clear()
+    llrs[5] *= 1e6
+    decode_batch(irregular_code, llrs, DecoderConfig(max_iters=10, saturation=None,
+                                                     early_stop=False))
+    assert (len(passes), len(scans)) == (10, 10)
+
+
+def test_exact_tanh_pass_tracks_scalar_reference(irregular_code):
+    # inputs on both sides of the rounding point 55 ln 2 = 38.1230949,
+    # +-inf, the padding of checks of degree 2 to 9 and a degree-1 check
+    # (whose output is the empty product, +inf); each edge against the
+    # tanh product of its check's other inputs
+    H = irregular_code
+    lay = _layout(H)
+    rng = np.random.default_rng(23)
+    F = 64
+    x = rng.normal(2.0, 6.0, size=(F, lay.E))
+    picks = rng.random((F, lay.E))
+    for k, v in enumerate((38.1230, 38.1231, -38.1230, -38.1231, np.inf, -np.inf)):
+        x[(picks >= 0.1 * k) & (picks < 0.1 * (k + 1))] = v
+    c2v = _check_pass(x, lay, "exact-tanh", _Workspace(lay, F))
+    n_inf = n_fin = 0
+    for e in range(lay.E):
+        others = lay.chk_eid[lay.edge_chk[e]]
+        others = others[(others != e) & (others < lay.E)]
+        for f in range(F):
+            want = check_update_exact(x[f, others]) if others.size else math.inf
+            got = c2v[f, e]
+            if math.isfinite(want):
+                n_fin += 1
+                assert got == pytest.approx(want, rel=0.0, abs=1e-9), (e, f)
+            else:
+                n_inf += 1
+                assert got == want, (e, f)
+    # both patterns occur often, near the rounding point too
+    assert n_inf > 0.1 * F * lay.E and n_fin > 0.3 * F * lay.E
+    near = np.isin(np.abs(x), (38.1230, 38.1231))
+    assert near.sum() > 0.3 * F * lay.E
 
 
 def _decode_all_ways(H, llrs, dec):

@@ -7,6 +7,7 @@ import pytest
 
 from errorfloor.channel import ChannelConfig, qfunc
 from errorfloor.floorpred import stats_from_dde
+from errorfloor.graphs import subgraph_to_multigraph
 from errorfloor.statespace import (
     InputStats,
     beta_prime_moments,
@@ -28,10 +29,15 @@ def stats():
 
 
 @pytest.fixture(scope="module")
-def k4_model():
+def k4_sub():
     cw = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     H = random_regular_code(36, 3, 6, seed=5, planted=cw)
-    return build_model(induce(H, (0, 1, 2, 3)), 3)
+    return induce(H, (0, 1, 2, 3))
+
+
+@pytest.fixture(scope="module")
+def k4_model(k4_sub):
+    return build_model(k4_sub, 3)
 
 
 def test_input_stats_length_check():
@@ -61,17 +67,18 @@ def test_gain_schedule_applies_inversion_window(stats):
             assert sched.g_eff[i] == stats.g_bar[i]
 
 
-def test_build_model_shapes_and_structure(k4_model):
+def test_build_model_shapes_and_structure(k4_sub, k4_model):
     m = k4_model
+    deg = subgraph_to_multigraph(k4_sub).degrees()
     assert m.m == 12 and m.a == 4 and m.b == 0
     assert m.A.shape == (12, 12)
     # each arc fans out to deg(head)-1 = 2 successors
     assert set(m.A.sum(axis=0)) == {2.0}
     assert np.all(m.B.sum(axis=1) == 1.0)
     # soft output at a variable collects its deg incoming arcs
-    np.testing.assert_array_equal(m.C.sum(axis=1), m.graph.degrees())
+    np.testing.assert_array_equal(m.C.sum(axis=1), deg)
     assert m.D_ex.size == 0
-    assert not m.has_leaves
+    assert not (deg <= 1).any()  # no leaves
     assert m.summary is not None and m.summary.r == pytest.approx(2.0, abs=1e-9)
 
 
@@ -80,18 +87,20 @@ def test_build_model_absorbing_set_externals():
         256, 3, 6, seed=2,
         planted=[(0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4), (1,)],
     )
-    model = build_model(induce(H, (0, 1, 2, 3, 4)), 3)
+    sub = induce(H, (0, 1, 2, 3, 4))
+    model = build_model(sub, 3)
     assert model.b == 1
-    assert not model.has_leaves
+    assert not (subgraph_to_multigraph(sub).degrees() <= 1).any()  # no leaves
     # the lone external column feeds the single degree-2 vertex
     assert model.D_ex.sum() == 1.0
     assert model.D_ex[1, 0] == 1.0
 
 
-def test_build_model_flags_leaves():
+def test_build_model_tolerates_leaves():
     H = random_regular_code(120, 3, 6, seed=0, planted=[(0, 1), (0, 2), (1, 2), (0, 3)])
-    model = build_model(induce(H, (0, 1, 2, 3)), 3)
-    assert model.has_leaves
+    sub = induce(H, (0, 1, 2, 3))
+    model = build_model(sub, 3)
+    assert (subgraph_to_multigraph(sub).degrees() <= 1).any()  # variable 3 is a leaf
     assert model.b == 4
 
 
@@ -103,15 +112,16 @@ def test_build_model_rejects_disconnected_subgraph():
         build_model(induce(H, range(6)), 3)
 
 
-def _oracle_injections(model, d_v):
-    """The former loop-built B, B_ex, C and D_ex of a model's states."""
-    n, m = model.graph.n, len(model.states)
+def _oracle_injections(model, G, d_v):
+    """The former loop-built B, B_ex, C and D_ex of a model's states on
+    the multigraph G."""
+    n, m = G.n, len(model.states)
     B = np.zeros((m, n))
     C = np.zeros((n, m))
     for k, (tail, head, _) in enumerate(model.states):
         B[k, tail] = 1.0
         C[head, k] = 1.0
-    deg = model.graph.degrees()
+    deg = G.degrees()
     ext_vertex = []
     for v in range(n):
         ext_vertex.extend([v] * (d_v - int(deg[v])))
@@ -133,9 +143,10 @@ def _oracle_injections(model, d_v):
 ], ids=["k4", "absorbing", "diamond", "leafy"])
 def test_build_model_injections_match_loop_oracle(planted, T):
     H = random_regular_code(96, 3, 6, seed=4, planted=planted)
-    model = build_model(induce(H, T), 3)
+    sub = induce(H, T)
+    model = build_model(sub, 3)
     for got, want in zip((model.B, model.B_ex, model.C, model.D_ex),
-                         _oracle_injections(model, 3), strict=True):
+                         _oracle_injections(model, subgraph_to_multigraph(sub), 3), strict=True):
         assert got.shape == want.shape and np.array_equal(got, want)
 
 
