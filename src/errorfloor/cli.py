@@ -55,7 +55,8 @@ _SPECS = {
         "target_errors": (parse_int, None, "stop after this many frame errors"),
         "seed": (parse_int, 0, "run seed"),
         "batch_size": (parse_int, 256, "frames per batch; batch b draws its noise from "
-                       "frame_rng(seed, b), so results depend on seed and batch size"),
+                       "frame_rng(seed, b), so results depend on seed and batch size; "
+                       "the decoder's state memory does not grow with it"),
         "workers": (parse_int, 1, "parallel workers"),
         "out": (str, "simulate", "output prefix"),
     },

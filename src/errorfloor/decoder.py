@@ -267,8 +267,8 @@ _BLOCK_BYTES = 768 * 1024
 
 
 def _block_rows(lay: _Layout) -> int:
-    """Rows per block of a decoder iteration: the byte budget over one
-    row's check-pass buffer."""
+    """Rows of the decoder's frame pool: the byte budget over one row's
+    check-pass buffer."""
     return max(1, _BLOCK_BYTES // (8 * lay.chk_eid.shape[1] * lay.m))
 
 
@@ -367,7 +367,7 @@ def _signmag_pass(M, v2c, mode: str, work: _Workspace):
 
 
 def _check_pass(v2c, lay: _Layout, mode: str, work: _Workspace) -> np.ndarray:
-    """All extrinsic check outputs for one row block; returns [F, E].
+    """All extrinsic check outputs for F rows of messages; returns [F, E].
     `work` holds at least F rows."""
     if lay.chk_padded:
         M = _gather(v2c, lay.chk_eid, np.inf, True)  # [F, m, dcmax]
@@ -462,17 +462,6 @@ def _fixed_rows(x, prev) -> np.ndarray:
     return (x.view(np.int64) == prev.view(np.int64)).all(axis=1)
 
 
-def _compact(a, keep, step: int):
-    """Moves the rows `keep` (increasing) of `a` to its front, `step` rows
-    at a time, and returns that prefix.  keep[j] >= j, so no block
-    overwrites a row that a later block still reads; rows ahead of the
-    first that leaves are already in place."""
-    for r0 in range(np.count_nonzero(keep == np.arange(keep.size)), keep.size, step):
-        rows = keep[r0 : r0 + step]
-        a[r0 : r0 + rows.size] = a[rows]
-    return a[: keep.size]
-
-
 def decode_batch(
     H: ParityCheckMatrix,
     llrs: np.ndarray,
@@ -495,20 +484,30 @@ def decode_batch(
     in the trailing `cfg.ec_window` iterations, a converged frame's the
     symbols wrong at exit.
 
-    Each iteration runs in row blocks of `_block_rows`: check pass,
-    clamp, variable pass, fixed-point compare, hard decisions and parity,
-    with each block's new messages written over its old ones.  A decode
-    of F frames on E edges and n variables so holds one [F, E] message
-    array, [F, n] state and outputs, and block-sized buffers; frames
-    leave the batch between iterations.  A run with a capture hook keeps
-    the whole batch as one block, so the hook sums over it in one order.
-    `llrs` and `init_v2c` are never written.
+    Frames run through a pool of `_block_rows` rows, each at its own
+    iteration.  A pass runs one iteration on every row: check pass,
+    clamp, variable pass, fixed-point compare, hard decisions and
+    parity.  A frame that leaves writes its outputs and the next waiting
+    frame takes its row; once none waits, the pool shrinks.  Every step
+    is row-wise, so no output depends on the pool, and the decoder's
+    state is pool-sized whatever the batch size F: only the outputs grow
+    with F.  A capture hook pools the whole batch in lockstep, so it sums
+    in one order.  `llrs` must be finite and `init_v2c` [F, E] free of
+    nan (+inf, as in an unclamped state, is allowed); neither is written.
     """
     llrs = np.atleast_2d(np.asarray(llrs, dtype=float))
     F, n = llrs.shape
     if n != H.n_vars:
         raise ValueError("LLR width does not match the code length")
+    if not np.isfinite(llrs).all():
+        raise ValueError("llrs must be finite")
     lay = _layout(H)
+    if init_v2c is not None:
+        init_v2c = np.asarray(init_v2c, dtype=float)
+        if init_v2c.shape != (F, lay.E):
+            raise ValueError(f"init_v2c is {init_v2c.shape}, not [frames, edges] {(F, lay.E)}")
+        if np.isnan(init_v2c).any():
+            raise ValueError("init_v2c holds nan")
 
     early = cfg.early_stop and capture is None and not return_state
 
@@ -517,93 +516,92 @@ def decode_batch(
     iters_out = np.zeros(F, dtype=np.int32)
     failed_out = np.zeros((F, n), dtype=bool)
     soft_out = np.zeros((F, n))
+    state_out = np.empty((F, lay.E)) if return_state else None
 
-    # the decoder's own arrays, whose kept rows move to the front as frames leave
-    idx = np.arange(F)
-    ch = llrs.copy()
-    if init_v2c is None:
-        v2c = np.take(ch, lay.edge_var, axis=1)
-    else:
-        v2c = np.array(init_v2c, dtype=float, order="C")
-    soft = np.empty((F, n))
-    last_wrong = np.zeros((F, n), dtype=np.int32)
-    first_conv = np.zeros(F, dtype=np.int32)
-    # a capture hook sums over the whole batch, which stays whole until the end
-    step = max(F, 1) if capture is not None else _block_rows(lay)
-    work = _Workspace(lay, min(F, step))
+    # pool row r decodes frame idx[r], which has run age[r] iterations
+    P = F if capture is not None else min(F, _block_rows(lay))
+    idx = np.empty(P, dtype=np.intp)
+    ch = np.empty((P, n))
+    v2c = np.empty((P, lay.E))
+    soft = np.empty((P, n))  # the previous pass's soft values
+    last_wrong = np.empty((P, n), dtype=np.int32)
+    first_conv = np.empty(P, dtype=np.int32)
+    age = np.empty(P, dtype=np.int32)
+    work = _Workspace(lay, P)
+    free = np.arange(P)  # rows to fill: every row at first, then those whose frame left
+    waiting = 0  # the next frame to enter
 
     sat = cfg.saturation
     lo = max(cfg.max_iters - cfg.ec_window + 1, 1)  # start of the trailing window
-    for it in range(1, cfg.max_iters + 1):
+    while True:
+        k = min(free.size, F - waiting)
+        if k:
+            fill, frames = free[:k], np.arange(waiting, waiting + k)
+            waiting += k
+            idx[fill] = frames
+            ch[fill] = llrs[frames]
+            v2c[fill] = (np.take(ch[fill], lay.edge_var, axis=1) if init_v2c is None
+                         else init_v2c[frames])
+            for a in (last_wrong, first_conv, age):
+                a[fill] = 0
+        if k < free.size:  # no frame waits: the pool shrinks
+            keep = np.ones(idx.size, dtype=bool)
+            keep[free[k:]] = False
+            idx, ch, v2c, soft, last_wrong, first_conv, age = (
+                a[keep] for a in (idx, ch, v2c, soft, last_wrong, first_conv, age))
+        if not idx.size:
+            break
+
+        age += 1
         if capture is not None:
-            capture.pre_check(it - 1, v2c)
+            capture.pre_check(age[0] - 1, v2c)
+        c2v = _check_pass(v2c, lay, cfg.mode, work)
+        if cfg.mode == "exact-tanh":
+            bad = ~np.isfinite(c2v)
+            bad[:, lay.lone_edge] = False  # the neutral +inf, not an overflow
+            if bad.any():
+                r = bad.any(axis=1).argmax()
+                raise NonFiniteMessageError(
+                    f"non-finite check output in frame {idx[r]} at its iteration {age[r]}; "
+                    "inputs exceeded the tanh-product range")
+        if sat is not None:
+            np.clip(c2v, -sat, sat, out=c2v)
+        if capture is not None:
+            capture.post_check(age[0] - 1, c2v)
+
+        s = ch + _gather(c2v, lay.var_eid, 0.0, lay.var_padded).sum(axis=1)
         # a row whose messages repeat has equal soft values one iteration
         # later, so only those rows compare messages
-        compare = early and it > 1
-        done = np.zeros(idx.size, dtype=bool)
-        for r0 in range(0, idx.size, step):
-            blk = slice(r0, r0 + step)
-            c2v = _check_pass(v2c[blk], lay, cfg.mode, work)
-            if cfg.mode == "exact-tanh":
-                bad = ~np.isfinite(c2v)
-                bad[:, lay.lone_edge] = False  # the neutral +inf, not an overflow
-                if bad.any():
-                    raise NonFiniteMessageError(
-                        f"non-finite check output at iteration {it}; "
-                        "inputs exceeded the tanh-product range"
-                    )
-            if sat is not None:
-                np.clip(c2v, -sat, sat, out=c2v)
-            if capture is not None:
-                capture.post_check(it - 1, c2v)
+        if early:
+            cand = np.flatnonzero((age > 1) & _fixed_rows(s, soft))
+            old = v2c[cand]
+        if sat is None:
+            _unclamped_v2c(s, c2v, ch, lay, v2c)
+        else:
+            np.take(s, lay.edge_var, axis=1, out=v2c, mode="clip")
+            np.subtract(v2c, c2v, out=v2c)
+        soft = s
 
-            s = ch[blk] + _gather(c2v, lay.var_eid, 0.0, lay.var_padded).sum(axis=1)
-            msgs = v2c[blk]
-            stuck = np.zeros(s.shape[0], dtype=bool)
-            if compare:
-                cand = np.flatnonzero(_fixed_rows(s, soft[blk]))
-                old = msgs[cand]
-            soft[blk] = s
-            if sat is None:
-                _unclamped_v2c(s, c2v, ch[blk], lay, msgs)
-            else:
-                np.take(s, lay.edge_var, axis=1, out=msgs, mode="clip")
-                np.subtract(msgs, c2v, out=msgs)
-            if compare:
-                stuck[cand] = _fixed_rows(msgs[cand], old)
+        wrong = s < 0
+        np.maximum(last_wrong, np.multiply(wrong, age[:, None], dtype=np.int32), out=last_wrong)
+        bits = _gather(wrong.view(np.uint8), lay.chk_var, 0, lay.chk_padded)
+        conv = ~np.bitwise_xor.reduce(bits, axis=1).any(axis=1)
+        np.copyto(first_conv, age, where=(first_conv == 0) & conv)
 
-            wrong = s < 0
-            np.maximum(last_wrong[blk], np.multiply(wrong, it, dtype=np.int32), out=last_wrong[blk])
-            bits = _gather(wrong.view(np.uint8), lay.chk_var, 0, lay.chk_padded)
-            conv = ~np.bitwise_xor.reduce(bits, axis=1).any(axis=1)
-            first = first_conv[blk]
-            np.copyto(first, it, where=(first == 0) & conv)
+        leave = age == cfg.max_iters
+        if early:
+            leave |= conv
+            leave[cand[_fixed_rows(v2c[cand], old)]] = True
+        free = np.flatnonzero(leave)
+        # a stuck frame repeats this iteration up to max_iters: its outputs are
+        # the full run's, with every wrong symbol still wrong at the last one
+        gd = idx[free]
+        hard_out[gd] = wrong[free]
+        soft_out[gd] = s[free]
+        conv_out[gd] = conv[free]
+        iters_out[gd] = np.where(first_conv[free] > 0, first_conv[free], cfg.max_iters)
+        failed_out[gd] = wrong[free] | (~conv[free, None] & (last_wrong[free] >= lo))
+        if return_state:
+            state_out[gd] = v2c[free]
 
-            if it == cfg.max_iters:
-                leave = np.ones(conv.size, dtype=bool)
-            elif early:
-                leave = conv | stuck
-            else:
-                continue
-            # a stuck frame repeats this iteration up to max_iters: its
-            # outputs are the full run's, with every wrong symbol still
-            # wrong at the last iteration
-            rows = np.flatnonzero(leave)
-            gd = idx[r0 + rows]
-            hard_out[gd] = wrong[rows]
-            soft_out[gd] = s[rows]
-            conv_out[gd] = conv[rows]
-            iters_out[gd] = np.where(first[rows] > 0, first[rows], cfg.max_iters)
-            failed_out[gd] = wrong[rows] | (~conv[rows, None] & (last_wrong[r0 + rows] >= lo))
-            done[r0 + rows] = True
-
-        if done.any():
-            keep = np.flatnonzero(~done)
-            if keep.size == 0:
-                break
-            idx, ch, v2c, soft, last_wrong, first_conv = (
-                _compact(a, keep, step) for a in (idx, ch, v2c, soft, last_wrong, first_conv))
-
-    return BatchResult(hard_out, conv_out, iters_out, failed_out, soft_out,
-                       v2c if return_state else None)
-
+    return BatchResult(hard_out, conv_out, iters_out, failed_out, soft_out, state_out)

@@ -42,8 +42,9 @@ class McConfig:
     """Monte Carlo run shape.  Results depend only on (seed, batch_size),
     never on the worker count: batch b draws its frames from
     `frame_rng(seed, b)`, so batch_size sets which frames share a random
-    stream.  It does not set the decoder's compute width, which runs each
-    iteration in row blocks of its own."""
+    stream.  It sets neither the decoder's compute width nor its state
+    memory: the decoder runs a batch through a fixed pool of rows of its
+    own, which waiting frames refill as others leave."""
 
     max_frames: int = 100_000
     target_errors: int | None = None

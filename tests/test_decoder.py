@@ -644,6 +644,18 @@ def _decode_all_ways(H, llrs, dec):
     return [decode_batch(H, llrs, dec), state, pre, resumed], cap.results()
 
 
+def _assert_overflow_named(H, llrs, dec, mode):
+    """exact-tanh's error names frame 20 and the iteration at which it
+    overflows when decoded alone; the other modes decode the batch."""
+    if mode != "exact-tanh":
+        assert decode_batch(H, llrs, dec).converged[20]
+        return
+    with pytest.raises(NonFiniteMessageError, match="in frame 0 at its iteration 2;"):
+        decode_batch(H, llrs[20:21], dec)
+    with pytest.raises(NonFiniteMessageError, match="in frame 20 at its iteration 2;"):
+        decode_batch(H, llrs, dec)
+
+
 @pytest.mark.parametrize("mode", ["pairwise", "approx", "min-sum", "exact-tanh"])
 @pytest.mark.parametrize("which", ["regular", "irregular"])
 def test_row_blocks_do_not_move_outputs(mode, which, code, irregular_code, monkeypatch):
@@ -655,17 +667,24 @@ def test_row_blocks_do_not_move_outputs(mode, which, code, irregular_code, monke
     dec = DecoderConfig(mode=mode, max_iters=8, saturation=sat)
     llrs = clean_llrs(H, ChannelConfig(1.0, 0.5), 23, seed=14)
     # at 2.5 dB frames leave an early-exit batch at several iterations, so
-    # the kept rows move to the front across blocks
+    # waiting frames take the rows they free
     leaving = clean_llrs(H, ChannelConfig(2.5, 0.5), 24, seed=14)
+    # a frame whose inputs pass the tanh-product range at its second
+    # iteration; in a 3-row pool it enters long after the first pass
+    overflow = leaving.copy()
+    overflow[20] = 35.0
+    overflow[20, 5] = -35.0
     monkeypatch.setattr(decoder_mod, "_BLOCK_BYTES", 1 << 40)
     assert _block_rows(lay) >= 24
     whole, whole_stats = _decode_all_ways(H, llrs, dec)
     whole.append(decode_batch(H, leaving, dec))
-    assert np.unique(whole[-1].iterations[whole[-1].converged]).size >= 3
+    _assert_overflow_named(H, overflow, dec, mode)
     monkeypatch.setattr(decoder_mod, "_BLOCK_BYTES", 3 * 8 * lay.chk_eid.shape[1] * lay.m)
-    assert _block_rows(lay) == 3
+    assert _block_rows(lay) == 3 < min(llrs.shape[0], leaving.shape[0])
     blocked, blocked_stats = _decode_all_ways(H, llrs, dec)
     blocked.append(decode_batch(H, leaving, dec))
+    assert np.unique(blocked[-1].iterations[blocked[-1].converged]).size >= 3
+    _assert_overflow_named(H, overflow, dec, mode)
     for got, want in zip(blocked, whole, strict=True):
         _assert_same_batch(got, want)
         if want.state_v2c is not None:
@@ -692,8 +711,8 @@ def test_decode_leaves_its_inputs_unchanged(code, irregular_code, sat, monkeypat
 
 
 def test_decode_memory_per_frame():
-    # one [F, E] message array, [F, n] state and outputs, and block-sized
-    # buffers: about 14.7 KiB a frame here, against 29 KiB when every step
+    # [F, n] outputs and a pool of rows: about 3.5 KiB a frame here, against
+    # 14.7 KiB with a whole-batch message array and 29 KiB when every step
     # of an iteration held whole-batch temporaries
     H = random_regular_code(256, 3, 6, seed=5)
     F = 8192
@@ -707,6 +726,66 @@ def test_decode_memory_per_frame():
     finally:
         tracemalloc.stop()
     assert peak / F < 18 * 1024
+
+
+def test_decoder_state_does_not_grow_with_the_batch():
+    # the pool of rows holds the decoder's state, so a 4,096-frame
+    # early-stop decode peaks below one [F, E] float64 array (25.2 MB
+    # here); with whole-batch state it peaked at about 64 MB
+    H = random_regular_code(256, 3, 6, seed=5)
+    F = 4096
+    llrs = sample_llrs(ChannelConfig(2.4, 0.5), frame_rng(3, 0), (F, H.n_vars))
+    dec = DecoderConfig(max_iters=50, saturation=25.0)
+    decode_batch(H, llrs[:8], dec)  # the layout is built and cached outside the trace
+    tracemalloc.start()
+    try:
+        res = decode_batch(H, llrs, dec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.unique(res.iterations).size > 10
+    assert peak < F * H.n_edges * 8
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_decode_rejects_non_finite_llrs(code, bad):
+    llrs = np.full((2, code.n_vars), 3.0)
+    llrs[1, 4] = bad
+    with pytest.raises(ValueError, match="llrs must be finite"):
+        decode_batch(code, llrs, DecoderConfig(max_iters=5))
+
+
+@pytest.mark.parametrize("shape", ["rows", "columns", "flat"])
+def test_decode_rejects_misshapen_init_v2c(code, shape):
+    dec = DecoderConfig(max_iters=5, saturation=25.0)
+    llrs = clean_llrs(code, ChannelConfig(2.0, 0.5), 8, seed=3)
+    state = decode_batch(code, llrs, dec, return_state=True).state_v2c
+    bad = {"rows": state[:-1], "columns": state[:, :-1], "flat": state[0]}[shape]
+    with pytest.raises(ValueError, match=r"init_v2c is \(.*\), not \[frames, edges\]"):
+        decode_batch(code, llrs, dec, init_v2c=bad)
+
+
+def test_decode_rejects_nan_in_init_v2c(code):
+    # one nan edge used to leave every frame converged with nan soft values
+    dec = DecoderConfig(max_iters=5, saturation=25.0)
+    llrs = clean_llrs(code, ChannelConfig(2.0, 0.5), 8, seed=3)
+    state = decode_batch(code, llrs, dec, return_state=True).state_v2c
+    state[3, 10] = np.nan
+    with pytest.raises(ValueError, match="init_v2c holds nan"):
+        decode_batch(code, llrs, dec, init_v2c=state)
+
+
+def test_decode_resumes_an_unclamped_state_holding_inf(irregular_code):
+    # a degree-1 check sends +inf, so an unclamped state holds it
+    H = irregular_code
+    dec = DecoderConfig(max_iters=3, saturation=None, early_stop=False)
+    llrs = clean_llrs(H, ChannelConfig(2.0, 0.5), 6, seed=12)
+    state = decode_batch(H, llrs, dec, return_state=True).state_v2c
+    assert np.isposinf(state).any()
+    resumed = decode_batch(H, llrs, dec, init_v2c=state)
+    straight = decode_batch(H, llrs, dataclasses.replace(dec, max_iters=6))
+    assert np.array_equal(resumed.soft.view(np.int64), straight.soft.view(np.int64))
+    assert np.array_equal(resumed.converged, straight.converged)
 
 
 @pytest.mark.parametrize("early_stop", [True, False])
