@@ -6,11 +6,17 @@ vertex degree strictly above d_v/2 (the strict-majority condition) and
 at most d_v.  Graphs are generated by vertex augmentation, in one chain
 per d_v that serves every order.  A parent is augmented by one vertex
 subset per orbit of its automorphisms, which the certificate search finds
-as it prunes.  A child is kept only if its new vertex lies in its
-canonical deletion class, the least-degree vertices with the largest
-color under refinement seeded by the degrees (the pre-test of McKay's
-canonical augmentation); a canonical certificate then removes the
-remaining duplicates.  The filter loses no class:
+as it prunes, and only by admissible subsets: those whose child keeps the
+new vertex of least degree (the degree cut) and passes the chain's
+degree-deficit pruning, so the generator forces in the vertices these
+rules require and never forms the others.  A child is kept only if its
+new vertex lies in its canonical deletion class, the least-degree
+vertices with the largest color under refinement seeded by the degrees
+(the pre-test of McKay's canonical augmentation); a canonical certificate
+then removes the remaining duplicates.  The chain's last order is never
+augmented, so it needs no automorphisms: its children are bucketed by an
+invariant of that refinement, and certificates are computed only within
+a bucket that holds more than one child.  The filter loses no class:
 
 - the class is an isomorphism invariant;
 - the chain's degree-deficit pruning still holds after deleting any
@@ -24,8 +30,10 @@ remaining duplicates.  The filter loses no class:
 
 Only the automorphisms the search found are used, which may generate a
 subgroup: smaller orbits cost duplicates, which the certificate removes,
-never classes.  Each class is then ranked by the spectral radius of its
-state digraph.
+never classes.  Nor do they move a representative: a level keeps the
+first child of each class, and that is always made from the least subset
+of its orbit under the full group, whatever subgroup was found.  Each
+class is then ranked by the spectral radius of its state digraph.
 """
 
 from __future__ import annotations
@@ -44,17 +52,23 @@ def _refine(adj, colors):
     """Iterated neighbourhood refinement; returns stable integer colors.
 
     Each round ranks the vertices by (color, sorted neighbour colors).
-    A round that splits no class is the last: its ranks are final.
+    A round that splits no class is the last: its ranks are final.  Two
+    shortcuts give the same ranks with less work: a discrete coloring is
+    ranked by its colors at once, and a vertex alone in its class gets
+    the signature (color, ()), since its color already sets its rank.
     """
+    n = len(colors)
     k = len(set(colors))
-    while True:
-        sigs = [(c, tuple(sorted(map(colors.__getitem__, nbrs))))
+    while k < n:
+        sigs = [(c, tuple(sorted(map(colors.__getitem__, nbrs))) if colors.count(c) > 1 else ())
                 for c, nbrs in zip(colors, adj)]
         mapping = {s: i for i, s in enumerate(sorted(set(sigs)))}
         colors = tuple(map(mapping.__getitem__, sigs))
         if len(mapping) == k:
             return colors
         k = len(mapping)
+    rank = {c: i for i, c in enumerate(sorted(colors))}
+    return tuple(map(rank.__getitem__, colors))
 
 
 def _orbit_labels(gens, n: int) -> list[int]:
@@ -75,7 +89,7 @@ def _orbit_labels(gens, n: int) -> list[int]:
     return [find(v) for v in range(n)]
 
 
-def canonical_cert(adj, autos: list | None = None) -> tuple:
+def canonical_cert(adj, autos: list | None = None, root: tuple | None = None) -> tuple:
     """Canonical form of a simple graph given as neighbour lists.
 
     Refinement plus backtracking individualization: members of the first
@@ -92,6 +106,12 @@ def canonical_cert(adj, autos: list | None = None) -> tuple:
     that of the full search.  The automorphisms found (tuples g, vertex v
     maps to g[v]) are appended to `autos` when it is given; they generate
     a subgroup of the automorphism group.
+
+    The search starts from `root` when it is given, else from the refined
+    unit coloring.  `root` must be stable, as `_refine` returns it, and
+    computed from the graph alone (say, refined from the degrees), so
+    that isomorphic graphs get corresponding roots.  Certificates are
+    comparable only between searches that use the same root rule.
     """
     n = len(adj)
     found: list = []
@@ -139,14 +159,15 @@ def canonical_cert(adj, autos: list | None = None) -> tuple:
             rec(_refine(adj, tuple(split)), prefix + (v,))
             explored.append(v)
 
-    rec(_refine(adj, (0,) * n), ())
+    rec(_refine(adj, (0,) * n) if root is None else root, ())
     if autos is not None:
         autos.extend(found)
     return best[0]
 
 
 # d_v -> levels of the augmentation chain, indexed by order: each level a
-# list of (edges, automorphism generators), one per isomorphism class
+# list of (edges, automorphism generators), one per isomorphism class.  The
+# last level's graphs are never augmented, so it holds no generators.
 _CENSUS_CACHE: dict = {}
 
 
@@ -167,57 +188,110 @@ def _augmented_census(a: int, d_v: int) -> list:
     return [edges for edges, _ in levels[a]]
 
 
+def _adjacency(n: int, edges) -> list:
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
 def _build_chain(a_max: int, d_v: int) -> list:
-    dmin = d_v // 2 + 1
     level = [((), [])]  # starts from the 1-vertex graph
     levels = [[], level]
     for k in range(1, a_max):
-        nxt: dict = {}  # cert -> (edges, automorphism generators)
         future = a_max - (k + 1)
+        nxt: list = []
+        certs: set = set()
+        buckets: dict = {}  # last order only: invariant hash -> [edges, certs]
         for edges, autos in level:
-            adj = [[] for _ in range(k)]
-            for u, v in edges:
-                adj[u].append(v)
-                adj[v].append(u)
+            adj = _adjacency(k, edges)
             deg = [len(nbrs) for nbrs in adj]
-            free = [v for v in range(k) if deg[v] < d_v]
-            # the new vertex must end up of least degree (degree cut)
-            for subset in _subset_reps(free, min(d_v, min(deg) + 1), autos):
-                ndeg = deg + [len(subset)]
+            for subset in _subset_reps(deg, d_v, future, autos):
+                low = len(subset)  # the degree cut made the new vertex least
+                ndeg = deg + [low]
                 for v in subset:
                     ndeg[v] += 1
-                low = min(ndeg)
-                if len(subset) > low:
-                    continue
-                # each remaining vertex can feed one simple edge per
-                # deficient vertex and d_v edge endpoints in total
-                if any(dmin - d > future for d in ndeg):
-                    continue
-                if sum(max(0, dmin - d) for d in ndeg) > future * d_v:
-                    continue
                 cadj = [nbrs + [k] if v in subset else nbrs for v, nbrs in enumerate(adj)]
                 cadj.append(list(subset))
                 # color cut: k must be in the canonical deletion class
                 col = _refine(cadj, ndeg)
                 if col[k] != max(c for c, d in zip(col, ndeg) if d == low):
                     continue
+                child = edges + tuple((v, k) for v in subset)
                 found: list = []
-                cert = canonical_cert(cadj, found)
-                if cert not in nxt:
-                    nxt[cert] = (edges + tuple((v, k) for v in subset), found)
-        level = list(nxt.values())
+                if future:
+                    cert = canonical_cert(cadj, found, col)
+                    if cert in certs:
+                        continue
+                    certs.add(cert)
+                elif not _new_at_last_order(buckets, child, cadj, col):
+                    continue
+                nxt.append((child, found))
+        level = nxt
         levels.append(level)
     return levels
 
 
-def _subset_reps(pool, kmax, autos):
-    """Subsets of `pool` up to size kmax, one per orbit of the group the
-    parent's automorphisms `autos` generate: the lexicographically least.
-    Subsets in one orbit give isomorphic children.  `pool` is sorted and
-    closed under the group."""
-    for r in range(0, min(len(pool), kmax) + 1):
+def _new_at_last_order(buckets: dict, edges, adj, colors) -> bool:
+    """Whether a child of the chain's last order is of a new class.
+
+    No graph of that order is augmented, so no automorphisms are needed.
+    Children are bucketed by the hash of an isomorphism invariant of their
+    stable coloring, the sorted multiset of (color, sorted neighbour
+    colors).  Certificates, started from that coloring, are computed only
+    once a bucket holds a second child; a bucket's first child is kept as
+    its edges and rebuilt then."""
+    key = hash(tuple(sorted((c, tuple(sorted(map(colors.__getitem__, nbrs))))
+                            for c, nbrs in zip(colors, adj))))
+    entry = buckets.get(key)
+    if entry is None:
+        buckets[key] = [edges, None]
+        return True
+    if entry[1] is None:
+        first = _adjacency(len(adj), entry[0])
+        entry[1] = {canonical_cert(first, root=_refine(first, [len(nbrs) for nbrs in first]))}
+    cert = canonical_cert(adj, root=colors)
+    if cert in entry[1]:
+        return False
+    entry[1].add(cert)
+    return True
+
+
+def _subset_reps(deg, d_v: int, future: int, autos):
+    """Admissible subsets of a parent's vertices, one per orbit of the
+    group its automorphisms `autos` generate: the lexicographically least.
+    Subsets in one orbit give isomorphic children.
+
+    `deg` holds the parent's degrees and `future` the vertices still to
+    come after the new one.  A subset of size r is admissible when its
+    child passes the degree cut (the new vertex ends up of least degree)
+    and the deficit prunes: each remaining vertex can feed one simple
+    edge per deficient vertex and d_v edge endpoints in total.  So a size
+    r needs every parent degree at least r - 1, every deficit dmin - d at
+    most future + 1 and the new vertex's own deficit at most future; the
+    vertices of degree r - 1 or deficit future + 1 are forced in, and the
+    rest are drawn from the other vertices below degree d_v.  These rules
+    read degrees only, so the admissible subsets are a union of orbits,
+    and with the forced set fixed, lexicographic order on the drawn
+    vertices is lexicographic order on the subsets."""
+    dmin = d_v // 2 + 1
+    if any(dmin - d > future + 1 for d in deg):
+        return
+    deficit = sum(max(0, dmin - d) for d in deg)
+    for r in range(max(0, dmin - future), min(d_v, min(deg) + 1) + 1):
+        forced = [v for v, d in enumerate(deg) if d == r - 1 or dmin - d == future + 1]
+        if len(forced) > r:
+            continue
+        rest = [v for v, d in enumerate(deg) if r <= d < d_v and dmin - d <= future]
+        # deficient members the subset needs to meet the total budget
+        short = (deficit + max(0, dmin - r) - future * d_v
+                 - sum(deg[v] < dmin for v in forced))
         seen: set = set()
-        for subset in itertools.combinations(pool, r):
+        for drawn in itertools.combinations(rest, r - len(forced)):
+            if short > 0 and sum(deg[v] < dmin for v in drawn) < short:
+                continue
+            subset = tuple(sorted(forced + list(drawn))) if forced else drawn
             if subset in seen:
                 continue
             yield subset

@@ -382,9 +382,10 @@ def dde_run(
     if saturation is not None and not saturation > 0:
         raise ValueError("saturation limit must be positive")
     edge = DEFAULT_HALF_BINS * DEFAULT_STEP
-    if saturation is not None and saturation >= edge:
+    if saturation is None or saturation >= edge:
+        shown = "none" if saturation is None else f"{saturation:g}"
         warnings.warn(
-            f"saturation {saturation:g} is beyond the grid edge {edge:g}; "
+            f"saturation {shown} is beyond the grid edge {edge:g}; "
             "the grid boundary acts as the effective clamp",
             stacklevel=2,
         )

@@ -447,6 +447,9 @@ def test_dde_run_rejects_degrees_below_two(d_v, d_c):
 def test_dde_saturation_beyond_grid_warns():
     with pytest.warns(UserWarning, match="grid edge"):
         dde_run(3, 6, CFG, n_iters=1, saturation=100.0)
+    # unclamped DE is clamped by the same edge, and says so
+    with pytest.warns(UserWarning, match=r"saturation none is beyond the grid edge 50\b"):
+        dde_run(3, 6, CFG, n_iters=1, saturation=None)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         dde_run(3, 6, CFG, n_iters=1, saturation=25.0)
